@@ -3,8 +3,8 @@ compiled ``accel`` event core.
 
 The extension is best-effort by design: ``optional=True`` means a missing
 or broken C toolchain degrades the install to pure Python (the ``accel``
-backend then falls back to its tightened Python implementation with a
-logged warning — see repro/sim/backends/__init__.py).  Set
+backend then falls back to the ``reference`` kernel with a logged
+warning — see repro/sim/backends/__init__.py).  Set
 ``REPRO_BUILD_ACCEL=0`` to skip the compile entirely.
 
 Developer in-place build (drops the .so next to the sources so the

@@ -87,8 +87,7 @@ def _mp_context(name: Optional[str] = None):
 
 
 def run_sharded(kind: str, kwargs: dict[str, Any], shards: int,
-                mp_context: Optional[str] = None,
-                telemetry: Optional[dict] = None) -> Any:
+                mp_context: Optional[str] = None) -> Any:
     """Execute one driver run partitioned across ``shards`` processes.
 
     Returns the same result object the single-process driver returns,
@@ -101,15 +100,6 @@ def run_sharded(kind: str, kwargs: dict[str, Any], shards: int,
     a single-process run modulo
     :data:`repro.obs.snapshot.SHARD_EXEMPT_COUNTERS`, plus the native
     ``shard.*`` telemetry family and a recomputed critical path.
-
-    ``telemetry``, when a dict is passed, is filled in place with the
-    shard-runtime telemetry regardless of the metrics setting:
-    ``"snapshot"`` (a registry snapshot of the ``shard.*`` family),
-    ``"trace"`` (the merged :class:`TraceRecorder`, or None when the
-    run recorded no spans) and ``"windows"`` (the ``[start, end)``
-    sync-round windows in cycles).  This is how
-    ``tools/bench_scale.py --shards`` reports sync behaviour without
-    forcing metrics into the measured run.
     """
     if kind not in SHARDABLE_KINDS:
         raise ShardSessionError(
@@ -153,8 +143,7 @@ def run_sharded(kind: str, kwargs: dict[str, Any], shards: int,
             if proc.is_alive():  # pragma: no cover - cleanup path
                 proc.terminate()
                 proc.join()
-    return _merge_results(kind, results, auxes, router, cfg, window,
-                          telemetry)
+    return _merge_results(kind, results, auxes, router, cfg, window)
 
 
 # ----------------------------------------------------------------------
@@ -288,33 +277,6 @@ def _telemetry_registry(router: dict, auxes: list, window: int):
     return reg
 
 
-def telemetry_summary(snapshot: dict) -> dict:
-    """Compact, JSON-able digest of a ``shard.*`` telemetry snapshot —
-    what ``tools/bench_scale.py --shards`` records per sharded cell."""
-    counters = snapshot.get("counters", {})
-    win = snapshot.get("histograms", {}).get("shard.window_cycles",
-                                             {"count": 0})
-    n_windows = win.get("count", 0)
-    shards = int(snapshot.get("gauges", {}).get("shard.shards", 0))
-    return {
-        "sync_rounds": counters.get("shard.sync_rounds", 0),
-        "windows": n_windows,
-        "window_cycles": {
-            "min": win.get("min", 0),
-            "mean": (win.get("sum", 0) / n_windows) if n_windows else 0,
-            "max": win.get("max", 0),
-        },
-        "egress_messages": counters.get("shard.egress_messages", 0),
-        "egress_bytes": counters.get("shard.egress_bytes", 0),
-        "encode_seconds": counters.get("shard.encode_seconds", 0.0),
-        "decode_seconds": counters.get("shard.decode_seconds", 0.0),
-        "blocked_seconds": counters.get("shard.blocked_seconds", 0.0),
-        "blocked_seconds_per_shard": [
-            counters.get(f"shard.s{s}.blocked_seconds", 0.0)
-            for s in range(shards)],
-    }
-
-
 def _merged_trace(auxes: list, router: dict):
     """One timeline from the shards' shipped spans, or None when the
     run traced nothing.  Lane 0 is the parent's sync-round windows."""
@@ -369,14 +331,7 @@ def _merge_metrics(results: list, reg, cfg: SystemConfig, trace) -> dict:
 
 
 def _merge_results(kind: str, results: list, auxes: list, router: dict,
-                   cfg: SystemConfig, window: int,
-                   telemetry: Optional[dict]) -> Any:
-    reg = _telemetry_registry(router, auxes, window)
-    trace = _merged_trace(auxes, router)
-    if telemetry is not None:
-        telemetry["snapshot"] = reg.snapshot()
-        telemetry["trace"] = trace
-        telemetry["windows"] = [tuple(w) for w in router["windows"]]
+                   cfg: SystemConfig, window: int) -> Any:
     base = results[0]
     if len(results) == 1:
         # degenerate plan: the worker replayed the exact single-process
@@ -392,7 +347,9 @@ def _merge_results(kind: str, results: list, auxes: list, router: dict,
     fields: dict[str, Any] = dict(traffic=traffic,
                                   events_dispatched=events)
     if getattr(base, "metrics", None) is not None:
-        fields["metrics"] = _merge_metrics(results, reg, cfg, trace)
+        fields["metrics"] = _merge_metrics(
+            results, _telemetry_registry(router, auxes, window), cfg,
+            _merged_trace(auxes, router))
     if kind == "barrier":
         return replace(base, **fields)
     latency = LatencyStats(name=base.acquire_latency.name)

@@ -8,17 +8,17 @@ interchangeable *backends*:
 
 ``reference``
     Today's pure-Python :class:`repro.sim.kernel.Simulator`, unchanged.
-    The goldens are captured against it and it remains the headline
-    implementation for BENCH trajectory history.
+    The goldens are captured against it and it is the baseline every
+    ``perfbench`` accel/reference ratio is taken against.
 
 ``accel``
     An optimized core.  When the compiled extension
     (``repro.sim.backends._accel_core``, a C event core built by
     ``pip install -e .[accel]`` or ``python setup.py build_ext
     --inplace``) is importable it is used; otherwise the registry falls
-    back — with a logged warning — to the tightened pure-Python
-    implementation in :mod:`repro.sim.backends.accel_py`.  Both produce
-    byte-identical results to ``reference``.
+    back — with a logged warning — to the ``reference``
+    :class:`~repro.sim.kernel.Simulator` itself.  Either way the results
+    are byte-identical to ``reference``.
 
 Selection order (first match wins):
 
@@ -35,12 +35,10 @@ Environment knobs
 -----------------
 ``REPRO_KERNEL_BACKEND``
     Default backend name when none is given explicitly.
-``REPRO_ACCEL_DISABLE_COMPILED=1``
-    Skip the compiled core even if importable (exercises the fallback).
 ``REPRO_ACCEL_REQUIRE_COMPILED=1``
     Refuse to fall back: raise if the compiled core cannot be imported.
     Used by the ``kernel-backend`` CI job so a broken build fails loudly
-    instead of silently benchmarking the fallback.
+    instead of silently running the fallback.
 """
 
 from __future__ import annotations
@@ -67,7 +65,6 @@ DEFAULT_BACKEND = "reference"
 
 #: environment variable consulted when no explicit backend is given
 ENV_BACKEND = "REPRO_KERNEL_BACKEND"
-ENV_DISABLE_COMPILED = "REPRO_ACCEL_DISABLE_COMPILED"
 ENV_REQUIRE_COMPILED = "REPRO_ACCEL_REQUIRE_COMPILED"
 
 
@@ -115,7 +112,7 @@ def create_simulator(name: Optional[str] = None, trace: bool = False) -> Simulat
 
 
 # ----------------------------------------------------------------------
-# accel: compiled core with logged pure-Python fallback
+# accel: compiled core with logged fallback to reference
 # ----------------------------------------------------------------------
 
 #: ``None`` until first use, then "compiled" or "python"
@@ -124,34 +121,28 @@ _ACCEL_FACTORY: Optional[Callable[..., Simulator]] = None
 
 
 def _load_accel() -> Callable[..., Simulator]:
-    """Import the compiled core, or fall back to accel_py (once, logged)."""
+    """Import the compiled core, or fall back to reference (once, logged)."""
     global _ACCEL_IMPL, _ACCEL_FACTORY
     if _ACCEL_FACTORY is not None:
         return _ACCEL_FACTORY
-    compiled_error: Optional[BaseException] = None
-    if os.environ.get(ENV_DISABLE_COMPILED) not in (None, "", "0"):
-        compiled_error = ImportError(
-            f"compiled core disabled by ${ENV_DISABLE_COMPILED}")
-    else:
-        try:
-            from repro.sim.backends import _accel_core
-            _ACCEL_IMPL = "compiled"
-            _ACCEL_FACTORY = _accel_core.AccelSimulator
-            return _ACCEL_FACTORY
-        except ImportError as err:
-            compiled_error = err
+    try:
+        from repro.sim.backends import _accel_core
+        _ACCEL_IMPL = "compiled"
+        _ACCEL_FACTORY = _accel_core.AccelSimulator
+        return _ACCEL_FACTORY
+    except ImportError as err:
+        compiled_error = err
     if os.environ.get(ENV_REQUIRE_COMPILED) not in (None, "", "0"):
         raise BackendError(
             "compiled accel core required by "
             f"${ENV_REQUIRE_COMPILED} but unavailable: {compiled_error}")
     logger.warning(
         "accel backend: compiled core unavailable (%s); "
-        "falling back to the pure-Python accel implementation "
+        "falling back to the reference kernel "
         "(build it with: pip install -e .[accel] or "
         "python setup.py build_ext --inplace)", compiled_error)
-    from repro.sim.backends.accel_py import AccelSimulator
     _ACCEL_IMPL = "python"
-    _ACCEL_FACTORY = AccelSimulator
+    _ACCEL_FACTORY = Simulator
     return _ACCEL_FACTORY
 
 
@@ -162,7 +153,8 @@ def _accel_factory(trace: bool = False) -> Simulator:
 def accel_implementation() -> str:
     """Which ``accel`` implementation is active: "compiled" or "python".
 
-    Forces resolution (importing the compiled core if present).
+    "python" means the fallback to the ``reference`` kernel.  Forces
+    resolution (importing the compiled core if present).
     """
     _load_accel()
     assert _ACCEL_IMPL is not None

@@ -3,11 +3,11 @@
  *
  * The semantics (two-tier queue, same-cycle FIFO dispatch ring,
  * delivery-phase (src, seq) ordering, flattened resume trampoline,
- * error messages) are replicated exactly; the pure-Python module
- * repro/sim/backends/accel_py.py is the executable specification and
- * automatic fallback when this extension is not built.  Parity is
- * enforced byte-identically by tools/capture_parity.py --verify
- * --backend accel and by the backend-conformance test suite.
+ * error messages) are replicated exactly; repro.sim.kernel.Simulator
+ * itself is the executable specification and the automatic (logged)
+ * fallback when this extension is not built.  Parity is enforced
+ * byte-identically by tools/capture_parity.py --verify --backend accel
+ * and by the backend-conformance test suite.
  *
  * What the C restructuring buys over the reference loop:
  *  - the dispatch ring is a C circular buffer of (fn, args) tuples (a

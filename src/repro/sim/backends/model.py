@@ -66,9 +66,9 @@ def model_core():
     """The compiled core with armed model paths, or ``None``.
 
     Lazily arms on first call.  Returns ``None`` when the accel backend
-    is running on the pure-Python fallback, when the compiled core's
-    model paths could not be armed (slot-layout drift), or when
-    ``$REPRO_ACCEL_DISABLE_COMPILED`` disables compiled code entirely.
+    has fallen back to the ``reference`` kernel (the compiled core is
+    not importable) or when the compiled core's model paths could not
+    be armed (slot-layout drift).
     """
     global _CORE
     if _CORE is None:

@@ -27,8 +27,7 @@ from repro.harness.parity import SHARD_EXEMPT_KEYS
 from repro.obs.schema import validate_snapshot
 from repro.obs.snapshot import (SHARD_EXEMPT_COUNTERS, SHARD_ONLY_PREFIXES,
                                 shard_counter_drift)
-from repro.shard.session import (ShardSessionError, run_sharded,
-                                 telemetry_summary)
+from repro.shard.session import ShardSessionError, run_sharded
 from repro.workloads.barrier import run_barrier_workload
 from repro.workloads.locks import run_lock_workload
 
@@ -54,12 +53,27 @@ def _run_pair(kind, kwargs, shards):
 ])
 def test_merged_metrics_counter_equal_and_schema_valid(kind, kwargs,
                                                        shards):
+    """The whole sharded-observability contract per workload kind:
+    identical cycles, traffic and (locks) acquisition latencies; a
+    schema-valid merged snapshot; counters equal modulo the exemption
+    list; the same critical path; egress volume equal to ingress."""
     ref, got = _run_pair(kind, dict(kwargs, mechanism=Mechanism.AMO),
                          shards)
     # metrics attach is timing-neutral under sharding
     assert got.total_cycles == ref.total_cycles
+    assert got.traffic.messages == ref.traffic.messages
+    assert got.traffic.bytes == ref.traffic.bytes
+    if kind == "lock":
+        assert sorted(got.acquire_latency._samples) == \
+            sorted(ref.acquire_latency._samples)
     assert validate_snapshot(got.metrics) == []
     assert shard_counter_drift(ref.metrics, got.metrics) == []
+    assert got.metrics["critical_path"] == ref.metrics["critical_path"]
+    # every exported packet is delivered exactly once
+    counters = got.metrics["counters"]
+    assert counters["shard.egress_messages"] == \
+        counters["shard.ingress_messages"]
+    assert counters["shard.egress_bytes"] == counters["shard.ingress_bytes"]
 
 
 def test_exemption_list_is_exactly_enumerated():
@@ -114,17 +128,6 @@ def test_shard_telemetry_family_present_and_consistent():
                for s in range(2)) == counters["shard.egress_messages"]
 
 
-def test_telemetry_summary_digest():
-    telemetry = {}
-    run_sharded("barrier", dict(BARRIER_KW, mechanism=Mechanism.AMO),
-                shards=2, telemetry=telemetry)
-    digest = telemetry_summary(telemetry["snapshot"])
-    assert digest["sync_rounds"] > 0
-    assert digest["windows"] > 0
-    assert digest["window_cycles"]["min"] <= digest["window_cycles"]["max"]
-    assert len(digest["blocked_seconds_per_shard"]) == 2
-
-
 def test_sampler_composes_and_series_is_exempt():
     """``metrics_interval`` works under sharding; the merged snapshot
     drops ``series`` (per-shard samplers watch only local queues) but
@@ -137,24 +140,6 @@ def test_sampler_composes_and_series_is_exempt():
     assert got.total_cycles == ref.total_cycles
     assert shard_counter_drift(ref.metrics, got.metrics) == []
     assert validate_snapshot(got.metrics) == []
-
-
-def test_telemetry_out_param_works_without_metrics():
-    """``run_sharded(..., telemetry=...)`` fills the out-param even for
-    unmetered runs — how ``bench_scale`` surfaces sync-round telemetry
-    without perturbing the measured run."""
-    telemetry = {}
-    got = run_sharded("barrier",
-                      dict(n_processors=32, mechanism=Mechanism.AMO,
-                           episodes=2, warmup_episodes=1),
-                      shards=2, telemetry=telemetry)
-    assert getattr(got, "metrics", None) is None
-    snap = telemetry["snapshot"]
-    assert snap["counters"]["shard.sync_rounds"] > 0
-    assert telemetry["trace"] is None  # no tracer without metrics
-    windows = telemetry["windows"]
-    assert windows and all(w[0] < w[1] for w in windows)
-    assert all(a[1] <= b[0] for a, b in zip(windows, windows[1:]))
 
 
 def test_remaining_unshardables_refused_even_when_falsy():

@@ -7,7 +7,7 @@ the contract the golden parity fingerprints exercise only indirectly:
 two-tier dispatch ordering, same-cycle delivery-phase ``(src, seq)``
 order, the ``max_events`` ceiling, every documented error path, and
 run-twice determinism.  A second group checks the ``accel`` selection
-machinery itself — the logged compiled→Python fallback, the
+machinery itself — the logged compiled→reference fallback, the
 ``REPRO_ACCEL_REQUIRE_COMPILED`` refusal, unknown-name errors — and a
 12-seed fuzz smoke drives the sanitizer stack on the accel core.
 """
@@ -402,26 +402,39 @@ def test_qlock_results_identical_across_backends(backend, lock_type, mech):
 # accel selection machinery
 # ---------------------------------------------------------------------------
 
-_SUBPROC_SNIPPET = """\
-import logging, sys
+#: prepended to every selection-machinery subprocess: a host without a
+#: C compiler, i.e. the compiled core cannot be imported
+_MASK_COMPILED = ('import sys\n'
+                  'sys.modules["repro.sim.backends._accel_core"] = None\n')
+
+_FALLBACK_SNIPPET = _MASK_COMPILED + """\
+import logging
 logging.basicConfig(level=logging.WARNING, stream=sys.stderr)
+from repro.config.mechanism import Mechanism
+from repro.harness.parity import barrier_fingerprint
 from repro.sim.backends import accel_implementation, create_simulator
+from repro.sim.kernel import Simulator
 from repro.sim.primitives import Timeout
 impl = accel_implementation()
 sim = create_simulator("accel")
+assert type(sim) is Simulator, type(sim)
 def p():
     yield Timeout(3)
     return 11
 assert sim.run_process(p()) == 11 and sim.now == 3
+fps = [barrier_fingerprint(Mechanism.AMO, 32, backend=b)
+       for b in ("reference", "accel")]
+assert fps[0] == fps[1], fps
 print("impl:", impl)
 """
 
 
-def _run_subprocess(extra_env):
+def _run_subprocess(code, extra_env=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-    env.update(extra_env)
-    return subprocess.run([sys.executable, "-c", _SUBPROC_SNIPPET],
+    env.pop("REPRO_ACCEL_REQUIRE_COMPILED", None)
+    env.update(extra_env or {})
+    return subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env,
                           cwd=os.path.dirname(os.path.dirname(
                               os.path.dirname(os.path.abspath(__file__)))))
@@ -429,31 +442,25 @@ def _run_subprocess(extra_env):
 
 def test_accel_python_fallback_is_logged():
     """Without the compiled core the accel backend must still work —
-    via the pure-Python implementation, with a logged warning."""
-    out = _run_subprocess({"REPRO_ACCEL_DISABLE_COMPILED": "1"})
+    on the reference kernel itself, with a logged warning — and land on
+    the reference fingerprint."""
+    out = _run_subprocess(_FALLBACK_SNIPPET)
     assert out.returncode == 0, out.stderr
     assert "impl: python" in out.stdout
-    assert "falling back to the pure-Python accel implementation" \
-        in out.stderr
+    assert "falling back to the reference kernel" in out.stderr
 
 
 def test_accel_require_compiled_refuses_fallback():
-    code = ("from repro.sim.backends import accel_implementation, "
-            "BackendError\n"
-            "try:\n"
-            "    accel_implementation()\n"
-            "except BackendError as err:\n"
-            "    print('refused:', err)\n"
-            "else:\n"
-            "    raise SystemExit('fallback was not refused')\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_ACCEL_DISABLE_COMPILED"] = "1"
-    env["REPRO_ACCEL_REQUIRE_COMPILED"] = "1"
-    out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, env=env,
-                         cwd=os.path.dirname(os.path.dirname(
-                             os.path.dirname(os.path.abspath(__file__)))))
+    code = _MASK_COMPILED + (
+        "from repro.sim.backends import accel_implementation, "
+        "BackendError\n"
+        "try:\n"
+        "    accel_implementation()\n"
+        "except BackendError as err:\n"
+        "    print('refused:', err)\n"
+        "else:\n"
+        "    raise SystemExit('fallback was not refused')\n")
+    out = _run_subprocess(code, {"REPRO_ACCEL_REQUIRE_COMPILED": "1"})
     assert out.returncode == 0, out.stderr
     assert "refused:" in out.stdout
 
