@@ -59,6 +59,11 @@ class _EgressWave:
     duck-typed process: ``Resource.release`` resumes whatever it pops
     via ``._rn``, so an object exposing that attribute can stand in
     line with real processes.
+
+    ``_rn`` and ``_expiry`` are event tuples holding callbacks bound to
+    the wave itself.  After the last packet ``_expire`` sets them and
+    ``messages`` to None, so the spent wave dies by refcount instead
+    of waiting for the cyclic collector.
     """
 
     __slots__ = ("hub", "sim", "res", "messages", "occ", "index", "done",
@@ -119,6 +124,7 @@ class _EgressWave:
         self.hub.net.send(msg)
         if not more:
             self.done.fire(sim)
+            self._rn = self._expiry = self.messages = None
 
 
 class Hub:

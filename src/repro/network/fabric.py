@@ -310,11 +310,22 @@ class Network:
         self.sim.schedule_at(when, self._deliver, msg)
 
     def _deliver(self, msg: Message) -> None:
-        if msg.reply_to is not None and msg.kind.is_reply:
+        """Dispatch one arrived packet: fire its reply signal, or hand
+        it to the destination hub.
+
+        A delivered reply's ``reply_to`` is cleared before the fire.
+        The signal's ``value`` is the reply itself, so keeping the
+        back-reference would tie the two into a cycle that only the
+        cyclic GC could free; nothing reads a reply's ``reply_to``
+        after delivery.
+        """
+        reply_to = msg.reply_to
+        if reply_to is not None and msg.kind.is_reply:
+            msg.reply_to = None
             # try_fire: a reply racing its requester's retransmission
             # timeout (active messages) is silently dropped — the
             # retransmit path owns delivery then.
-            msg.reply_to.try_fire(self.sim, msg)
+            reply_to.try_fire(self.sim, msg)
             return
         handler = self._handlers[msg.dst_node]
         if handler is None:

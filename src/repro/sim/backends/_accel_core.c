@@ -25,6 +25,16 @@
  * Python Process/Timeout/primitives objects are shared with the
  * reference backend (imported at module init), so model code and the
  * primitives module need no backend awareness at all.
+ *
+ * Mirror rule: a compiled path replicates its Python twin's events
+ * *and* its object lifetimes.  Where the Python coding drops a
+ * back-reference so that per-event objects die by refcount, the C
+ * path drops the same reference at the same point: a finished or
+ * failed process's ``_rn`` (proc_finish / proc_fail), a delivered
+ * reply's ``reply_to`` (deliver_fast), a spent egress wave's ``_rn``,
+ * ``_expiry`` and ``messages`` (mod_wave_expire).  Only machine
+ * structure may be cyclic (docs/performance.md, "Garbage-free hot
+ * path"); tests/sim/test_garbage_free.py checks both backends.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -453,14 +463,16 @@ push_future(SimObject *self, long long when, PyObject *ev)
 /* ---- resume trampoline ---- */
 
 /* append a "resume ``proc`` with ``value``" event to the ring.  A
- * None-valued wake-up reuses the process's interned ``_rn`` tuple, just
- * like the Python primitives do. */
+ * None-valued wake-up reuses the process's interned ``_rn`` tuple; a
+ * finished process has dropped it (``_rn`` is None, see
+ * Process._finish), so a fresh tuple is built, just like the Python
+ * Signal/Gate/join wake-ups always do. */
 static int
 push_resume(SimObject *self, PyObject *proc, PyObject *value)
 {
     if (value == Py_None && g_fast && Py_IS_TYPE(proc, g_ProcessType)) {
         PyObject *rn = SLOT(proc, off_p_rn);
-        if (rn != NULL)
+        if (rn != NULL && rn != Py_None)
             return ring_push(self->ring, rn);
     }
     PyObject *args = PyTuple_Pack(2, proc, value);
@@ -475,7 +487,24 @@ push_resume(SimObject *self, PyObject *proc, PyObject *value)
     return r;
 }
 
-/* Process._finish: mark done, store the result, wake joiners */
+/* owned ``waiter._rn`` — a process's interned resume-with-None event,
+ * or an egress wave's grant callback — for the spawn / Timeout /
+ * Resource-grant wake-ups, which the Python primitives also take
+ * straight from ``_rn``.  Only live waiters are woken there, so this
+ * is never the None a finished process leaves behind. */
+static PyObject *
+waiter_rn(PyObject *waiter)
+{
+    PyObject *rn = NULL;
+    if (g_fast && Py_IS_TYPE(waiter, g_ProcessType))
+        rn = SLOT(waiter, off_p_rn);
+    else if (g_model_fast && PyObject_TypeCheck(waiter, g_WaveType))
+        rn = SLOT(waiter, off_ew_rn);
+    return rn != NULL ? Py_NewRef(rn) : PyObject_GetAttr(waiter, s_rn);
+}
+
+/* Process._finish: mark done, store the result, drop the interned
+ * ``_rn`` (it points back at the process), wake joiners */
 static int
 proc_finish(SimObject *self, PyObject *proc, PyObject *result)
 {
@@ -488,6 +517,7 @@ proc_finish(SimObject *self, PyObject *proc, PyObject *result)
     }
     slot_store(proc, off_p_done, Py_NewRef(Py_True));
     slot_store(proc, off_p_result, Py_NewRef(result));
+    slot_store(proc, off_p_rn, Py_NewRef(Py_None));
     PyObject *waiters = SLOT(proc, off_p_waiters);
     if (waiters != NULL && PyList_CheckExact(waiters)
             && PyList_GET_SIZE(waiters) > 0) {
@@ -507,7 +537,8 @@ proc_finish(SimObject *self, PyObject *proc, PyObject *result)
     return 0;
 }
 
-/* Process._fail: mark done, record the error, abandon joiners */
+/* Process._fail: mark done, record the error, drop ``_rn``, abandon
+ * joiners */
 static int
 proc_fail(PyObject *proc, PyObject *error)
 {
@@ -523,6 +554,7 @@ proc_fail(PyObject *proc, PyObject *error)
         return -1;
     slot_store(proc, off_p_done, Py_NewRef(Py_True));
     slot_store(proc, off_p_error, Py_NewRef(error));
+    slot_store(proc, off_p_rn, Py_NewRef(Py_None));
     slot_store(proc, off_p_waiters, empty);
     return 0;
 }
@@ -716,10 +748,7 @@ resume_impl(SimObject *self, PyObject *proc, PyObject *value_in,
                     goto bail;
                 }
                 if (!overflow && d >= 0) {
-                    PyObject *rn = fast ? Py_XNewRef(SLOT(proc, off_p_rn))
-                                        : NULL;
-                    if (rn == NULL)
-                        rn = PyObject_GetAttr(proc, s_rn);
+                    PyObject *rn = waiter_rn(proc);
                     if (rn == NULL) {
                         Py_DECREF(delay);
                         Py_DECREF(cmd);
@@ -1282,10 +1311,7 @@ sim_spawn(SimObject *self, PyObject *args, PyObject *kwds)
         return NULL;
     }
     /* start after the current event finishes (spawn is not reentrant) */
-    PyObject *rn = (g_fast && Py_IS_TYPE(proc, g_ProcessType))
-        ? Py_XNewRef(SLOT(proc, off_p_rn)) : NULL;
-    if (rn == NULL)
-        rn = PyObject_GetAttr(proc, s_rn);
+    PyObject *rn = waiter_rn(proc);
     if (rn == NULL || ring_push(self->ring, rn) < 0) {
         Py_XDECREF(rn);
         Py_DECREF(proc);
@@ -2065,6 +2091,29 @@ word_update_fast(SimObject *sim, PyObject *hub, PyObject *msg)
     return 0;
 }
 
+/* reply_to.try_fire(sim, msg): a reply racing the requester's
+ * retransmission timeout is dropped.  Returns 0 / -1. */
+static int
+reply_fire(SimObject *sim, PyObject *reply_to, PyObject *msg)
+{
+    if (g_fast && Py_IS_TYPE(reply_to, g_SignalType)) {
+        int fired = slot_truth(SLOT(reply_to, off_s_fired));
+        if (fired < 0)
+            return -1;
+        if (fired)
+            return 0;
+        PyObject *waiters = SLOT(reply_to, off_s_waiters);
+        if (waiters != NULL && PyList_CheckExact(waiters))
+            return signal_fire_commit(sim, reply_to, msg);
+    }
+    PyObject *res = PyObject_CallMethodObjArgs(
+        reply_to, s_try_fire, (PyObject *)sim, msg, NULL);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
 /* Network._deliver fast path.  Returns 0 handled, 1 fall back to the
  * Python coding (nothing mutated), -1 error. */
 static int
@@ -2090,39 +2139,23 @@ deliver_fast(PyObject *net, PyObject *msg)
         goto done;
     }
     if (reply_to != Py_None) {
+        /* a kind without ``is_reply`` raises here exactly as in the
+         * Python coding; it is an error, not a precondition miss */
         PyObject *is_reply = PyObject_GetAttr(kind, s_is_reply);
-        if (is_reply == NULL) {
-            PyErr_Clear();
-            rc = 1;
+        if (is_reply == NULL)
             goto done;
-        }
         int reply = PyObject_IsTrue(is_reply);
         Py_DECREF(is_reply);
         if (reply < 0)
             goto done;
         if (reply) {
-            /* reply_to.try_fire(sim, msg): a reply racing the
-             * requester's retransmission timeout is dropped */
-            if (g_fast && Py_IS_TYPE(reply_to, g_SignalType)) {
-                int fired = slot_truth(SLOT(reply_to, off_s_fired));
-                if (fired < 0)
-                    goto done;
-                if (fired) {
-                    rc = 0;
-                    goto done;
-                }
-                PyObject *waiters = SLOT(reply_to, off_s_waiters);
-                if (waiters != NULL && PyList_CheckExact(waiters)) {
-                    rc = signal_fire_commit(sim, reply_to, msg);
-                    goto done;
-                }
-            }
-            PyObject *res = PyObject_CallMethodObjArgs(
-                reply_to, s_try_fire, sim_obj, msg, NULL);
-            if (res == NULL)
-                goto done;
-            Py_DECREF(res);
-            rc = 0;
+            /* clear the delivered reply's reply_to before the fire: the
+             * signal's value is the reply, and the back-reference would
+             * make the pair a cycle (see Network._deliver) */
+            Py_INCREF(reply_to);
+            slot_store(msg, off_m_reply_to, Py_NewRef(Py_None));
+            rc = reply_fire(sim, reply_to, msg);
+            Py_DECREF(reply_to);
             goto done;
         }
     }
@@ -2617,18 +2650,11 @@ mod_wave_expire(PyObject *mod, PyObject *wave)
         }
         slot_store(res, off_r_grants, ng);
         slot_store(res, off_r_acquired, acq_now);
-        PyObject *rn = NULL;
-        if (Py_IS_TYPE(waiter, g_ProcessType))
-            rn = Py_XNewRef(SLOT(waiter, off_p_rn));
-        else if (PyObject_TypeCheck(waiter, g_WaveType))
-            rn = Py_XNewRef(SLOT(waiter, off_ew_rn));
+        PyObject *rn = waiter_rn(waiter);
         if (rn == NULL) {
-            rn = PyObject_GetAttr(waiter, s_rn);
-            if (rn == NULL) {
-                Py_DECREF(waiter);
-                Py_DECREF(msg);
-                return NULL;
-            }
+            Py_DECREF(waiter);
+            Py_DECREF(msg);
+            return NULL;
         }
         int rr = ring_push(sim->ring, rn);
         Py_DECREF(rn);
@@ -2708,6 +2734,12 @@ mod_wave_expire(PyObject *mod, PyObject *wave)
                 return NULL;
             Py_DECREF(fr);
         }
+        /* the spent wave drops its event tuples (each points back at
+         * it) and the sent train, so it dies by refcount; the dispatch
+         * loop still owns the running expiry event */
+        slot_store(wave, off_ew_rn, Py_NewRef(Py_None));
+        slot_store(wave, off_ew_expiry, Py_NewRef(Py_None));
+        slot_store(wave, off_ew_msgs, Py_NewRef(Py_None));
     }
     Py_RETURN_NONE;
 }
@@ -2889,18 +2921,10 @@ resource_release(PyObject *res)
                 }
                 slot_store(res, off_r_grants, ng);
                 slot_store(res, off_r_acquired, acq_now);
-                PyObject *rn = NULL;
-                if (Py_IS_TYPE(waiter, g_ProcessType))
-                    rn = Py_XNewRef(SLOT(waiter, off_p_rn));
-                else if (g_model_fast
-                         && PyObject_TypeCheck(waiter, g_WaveType))
-                    rn = Py_XNewRef(SLOT(waiter, off_ew_rn));
+                PyObject *rn = waiter_rn(waiter);
                 if (rn == NULL) {
-                    rn = PyObject_GetAttr(waiter, s_rn);
-                    if (rn == NULL) {
-                        Py_DECREF(waiter);
-                        return -1;
-                    }
+                    Py_DECREF(waiter);
+                    return -1;
                 }
                 int rr = ring_push(sim->ring, rn);
                 Py_DECREF(rn);

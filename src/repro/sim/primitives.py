@@ -58,7 +58,11 @@ class Signal:
     same cycle the requester starts waiting) are benign.
 
     A fresh Signal is typically created per transaction (e.g. one per
-    outstanding coherence request) and discarded after use.
+    outstanding coherence request) and discarded after use.  A reply
+    signal keeps the delivered reply as its ``value``; the fabric
+    clears that reply's ``reply_to`` before firing (see
+    :meth:`repro.network.fabric.Network._deliver`), so the pair never
+    forms a cycle and both die by refcount.
     """
 
     __slots__ = ("_waiters", "fired", "value", "name")

@@ -62,12 +62,17 @@ class Process:
         # Interned "resume with None" event.  A process is suspended on at
         # most one primitive at a time, so the same tuple is never queued
         # twice concurrently; every None-valued wake-up (spawn, Timeout,
-        # Acquire grant) reuses it instead of allocating two tuples.
-        self._rn = (sim._resume, (self, None))
+        # Acquire grant) reuses it instead of allocating two tuples.  The
+        # tuple points back at the process, so _finish/_fail set it to
+        # None: a finished process (with its generator frames and lists)
+        # then dies by refcount instead of waiting for the cyclic GC.  Only
+        # live processes are ever woken, so nothing reads it afterwards.
+        self._rn: Optional[tuple] = (sim._resume, (self, None))
 
     def _finish(self, result: Any) -> None:
         self.done = True
         self.result = result
+        self._rn = None
         waiters = self._waiters
         if waiters:
             self._waiters = []
@@ -79,6 +84,7 @@ class Process:
     def _fail(self, error: BaseException) -> None:
         self.done = True
         self.error = error
+        self._rn = None
         # Waiters are abandoned; the kernel re-raises the error at top level
         # so a failing process always surfaces loudly in tests.
         self._waiters = []

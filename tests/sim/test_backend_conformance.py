@@ -284,6 +284,29 @@ def test_exception_runs_inner_finally(backend):
     assert cleaned == [1]
 
 
+def test_deliver_of_a_bogus_kind_raises_the_same_error(backend):
+    """A message whose kind has no ``is_reply`` is an error on delivery,
+    the same one on every backend.  The compiled ``_deliver`` raises it
+    itself rather than treating it as a precondition miss and handing
+    the message to its Python twin."""
+    from repro.config.parameters import SystemConfig
+    from repro.core.machine import Machine
+    from repro.network.message import Message, MessageKind
+    from repro.sim.backends.model import model_core
+
+    machine = Machine(SystemConfig.table1(4, kernel_backend=backend))
+    sig = Signal("reply")
+    msg = Message(MessageKind.DATA_S, 1, 0, addr=0, reply_to=sig)
+    msg.kind = "bogus"
+    with pytest.raises(AttributeError, match="'str' object has no "
+                                             "attribute 'is_reply'") as err:
+        machine.net._deliver(msg)
+    assert msg.reply_to is sig and not sig.fired
+    if backend == "accel" and model_core() is not None:
+        # no Python frame of Network._deliver: the C path raised
+        assert all(entry.name != "_deliver" for entry in err.traceback)
+
+
 # ---------------------------------------------------------------------------
 # determinism and cross-backend equivalence
 # ---------------------------------------------------------------------------

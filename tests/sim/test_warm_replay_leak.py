@@ -1,0 +1,68 @@
+"""Warm replays reclaim everything by refcount alone.
+
+A warm-cached point restores its machine from a snapshot and replays
+the measured episodes.  With the cyclic collector off, any reference
+cycle a replay leaves behind accumulates, so the live object count and
+the traced heap would climb replay after replay (by ~500 objects and
+~50 KB per 16-CPU barrier replay before the event path was made
+acyclic).  After the first replay — which may still create lazily built
+state — both must stay flat within a small constant; the slack covers
+the interpreter's free lists, which keep a few freed blocks traced.
+"""
+
+from __future__ import annotations
+
+import gc
+import tracemalloc
+
+import pytest
+
+from repro.config.mechanism import Mechanism
+from repro.workloads.barrier import run_barrier_workload
+from repro.workloads.locks import run_lock_workload
+from repro.workloads.warm import WarmCache
+
+from tests.sim.test_garbage_free import BACKENDS
+
+REPLAYS = 5
+#: growth allowed over all replays after the first
+OBJECT_SLACK = 16
+BYTES_SLACK = 16 * 1024
+
+
+def barrier_point(cache, backend):
+    run_barrier_workload(16, Mechanism.AMO, episodes=2, warmup_episodes=1,
+                         warm_cache=cache, backend=backend)
+
+
+def lock_point(cache, backend):
+    run_lock_workload(16, Mechanism.LLSC, acquisitions_per_cpu=2,
+                      warmup_per_cpu=1, warm_cache=cache, backend=backend)
+
+
+@pytest.mark.parametrize("point", [barrier_point, lock_point],
+                         ids=["barrier", "lock"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_warm_replays_do_not_grow_the_heap(backend, point):
+    cache = WarmCache()
+    point(cache, backend)                # build, warm up, checkpoint
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        point(cache, backend)            # first replay
+        objects0 = len(gc.get_objects())
+        bytes0 = tracemalloc.get_traced_memory()[0]
+        samples = []
+        for _ in range(REPLAYS):
+            point(cache, backend)
+            samples.append((len(gc.get_objects()) - objects0,
+                            tracemalloc.get_traced_memory()[0] - bytes0))
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert cache.hits == REPLAYS + 1
+    assert max(n for n, _ in samples) <= OBJECT_SLACK, samples
+    assert max(b for _, b in samples) <= BYTES_SLACK, samples
