@@ -286,19 +286,11 @@ class Machine:
         self.obs = None
         #: optional CoherenceSanitizer (see repro.check) — None = unchecked
         self.sanitizer = None
-        #: ShardContext when this machine is one shard's replica of a
-        #: partitioned run (see repro.shard) — None = ordinary machine
-        self.shard = None
         for cpu_id in range(self.config.n_processors):
             hub = self.hubs[self.node_of_cpu(cpu_id)]
             proc = Processor(cpu_id, hub)
             hub.controllers[cpu_id] = proc.controller
             self.cpus.append(proc)
-        # adopt the active shard context, if a shard worker is building
-        # us (function-level import: repro.shard pulls in the runner
-        # registry, which imports the workloads, which import us)
-        from repro.shard.context import maybe_bind
-        maybe_bind(self)
 
     # ------------------------------------------------------------------
     @property
@@ -350,8 +342,6 @@ class Machine:
         Returns the per-thread results in CPU order.  Raises on deadlock
         (event queue drained with threads still blocked).
         """
-        if self.shard is not None:
-            return self.shard.run_threads(self, thread_fn, cpus, max_events)
         targets = self.cpus if cpus is None else [self.cpus[i] for i in cpus]
         def _main():
             procs = [self.sim.spawn(thread_fn(p), name=f"thread-cpu{p.cpu_id}")
@@ -392,25 +382,12 @@ class Machine:
         snap.restore()
 
     def check_coherence_invariants(self) -> None:
-        """Directory/cache cross-checks; used liberally by the test suite.
-
-        Under sharded execution only this shard's hubs have live
-        directory state, and an entry owned exclusively by a *remote*
-        CPU cannot be cross-checked here (that CPU's cache lives on its
-        own shard's replica) — such entries are skipped; every shard
-        checking its local view covers the whole machine.
-        """
+        """Directory/cache cross-checks; used liberally by the test suite."""
         from repro.cache.state import LineState
         from repro.coherence.directory import DirState
-        shard = self.shard
         for hub in self.hubs:
-            if shard is not None and not shard.owns_node(hub.node):
-                continue
             for ent in hub.home_engine.directory.known_entries():
                 ent.check()
-                if (shard is not None and ent.state is DirState.EXCLUSIVE
-                        and not shard.owns_cpu(ent.owner)):
-                    continue
                 owners = [p.cpu_id for p in self.cpus
                           if (ln := p.controller.l2.probe(ent.line_addr))
                           is not None and ln.state is LineState.EXCLUSIVE]

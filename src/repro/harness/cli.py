@@ -128,11 +128,6 @@ def main(argv=None) -> int:
                         metavar="CYCLES",
                         help="with --metrics: sample gauges every N "
                              "simulated cycles (0 = no time-series)")
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="partition every run across N worker "
-                             "processes (repro.shard conservative-window "
-                             "sharding; cycle-identical to single-process, "
-                             "composes with --metrics)")
     parser.add_argument("--metrics-out", metavar="PATH",
                         help="write the merged metrics export (JSON, "
                              "schema repro.obs.export/1) to PATH; "
@@ -201,7 +196,6 @@ def main(argv=None) -> int:
         flat = ex.run_barrier_suite(cpus, episodes=args.episodes,
                                     runner=runner, metrics=args.metrics,
                                     metrics_interval=args.metrics_interval,
-                                    shards=args.shards,
                                     backend=args.backend)
         if want in ("table2", "all"):
             results.append(ex.experiment_table2(flat))
@@ -216,12 +210,10 @@ def main(argv=None) -> int:
         tree = ex.run_tree_suite(cpus, episodes=args.episodes,
                                  runner=runner, metrics=args.metrics,
                                  metrics_interval=args.metrics_interval,
-                                 shards=args.shards,
                                  backend=args.backend)
         flat3 = ex.run_barrier_suite(cpus, episodes=args.episodes,
                                      runner=runner, metrics=args.metrics,
                                      metrics_interval=args.metrics_interval,
-                                     shards=args.shards,
                                      backend=args.backend)
         if want in ("table3", "all"):
             results.append(ex.experiment_table3(tree, flat3))
@@ -234,7 +226,6 @@ def main(argv=None) -> int:
                                   acquisitions_per_cpu=args.acquisitions,
                                   runner=runner, metrics=args.metrics,
                                   metrics_interval=args.metrics_interval,
-                                  shards=args.shards,
                                   backend=args.backend)
         if want in ("table4", "all"):
             results.append(ex.experiment_table4(locks))
@@ -252,7 +243,6 @@ def main(argv=None) -> int:
                                     acquisitions_per_cpu=args.acquisitions,
                                     runner=runner, metrics=args.metrics,
                                     metrics_interval=args.metrics_interval,
-                                    shards=args.shards,
                                     backend=args.backend)
         results.append(ex.experiment_qlock(qlocks))
     if want == "amo-tree":

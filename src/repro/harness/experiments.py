@@ -92,14 +92,14 @@ def _runner_or_serial(runner: Optional[ParallelRunner]) -> ParallelRunner:
 def run_barrier_suite(cpu_counts: Sequence[int], episodes: int = 3,
                       runner: Optional[ParallelRunner] = None,
                       metrics: bool = False, metrics_interval: int = 0,
-                      shards: int = 1, backend: Optional[str] = None,
+                      backend: Optional[str] = None,
                       ) -> dict[tuple[int, Mechanism], BarrierResult]:
     """Flat-barrier measurements for every (P, mechanism)."""
     keys = [(p, mech) for p in cpu_counts for mech in ALL_MECHANISMS]
     specs = [RunSpec.barrier(n_processors=p, mechanism=mech,
                              episodes=episodes, metrics=metrics,
                              metrics_interval=metrics_interval,
-                             shards=shards, backend=backend)
+                             backend=backend)
              for p, mech in keys]
     results = _runner_or_serial(runner).run(specs)
     return dict(zip(keys, results))
@@ -109,7 +109,7 @@ def run_tree_suite(cpu_counts: Sequence[int], episodes: int = 3,
                    branchings: Sequence[int] = DEFAULT_BRANCHINGS,
                    runner: Optional[ParallelRunner] = None,
                    metrics: bool = False, metrics_interval: int = 0,
-                   shards: int = 1, backend: Optional[str] = None,
+                   backend: Optional[str] = None,
                    ) -> dict[tuple[int, Mechanism], BarrierResult]:
     """Tree-barrier measurements, keeping the best branching factor per
     configuration (the paper's methodology)."""
@@ -119,7 +119,7 @@ def run_tree_suite(cpu_counts: Sequence[int], episodes: int = 3,
                              episodes=episodes, tree_branching=b,
                              metrics=metrics,
                              metrics_interval=metrics_interval,
-                             shards=shards, backend=backend)
+                             backend=backend)
              for p, mech, b in keys]
     results = _runner_or_serial(runner).run(specs)
     out: dict[tuple[int, Mechanism], BarrierResult] = {}
@@ -136,7 +136,7 @@ def run_tree_suite(cpu_counts: Sequence[int], episodes: int = 3,
 def run_lock_suite(cpu_counts: Sequence[int], acquisitions_per_cpu: int = 3,
                    runner: Optional[ParallelRunner] = None,
                    metrics: bool = False, metrics_interval: int = 0,
-                   shards: int = 1, backend: Optional[str] = None,
+                   backend: Optional[str] = None,
                    ) -> dict[tuple[int, Mechanism, str], LockResult]:
     """Lock measurements for every (P, mechanism, ticket|array)."""
     keys = [(p, mech, lt) for p in cpu_counts for mech in ALL_MECHANISMS
@@ -145,7 +145,7 @@ def run_lock_suite(cpu_counts: Sequence[int], acquisitions_per_cpu: int = 3,
                           acquisitions_per_cpu=acquisitions_per_cpu,
                           metrics=metrics,
                           metrics_interval=metrics_interval,
-                          shards=shards, backend=backend)
+                          backend=backend)
              for p, mech, lt in keys]
     results = _runner_or_serial(runner).run(specs)
     return dict(zip(keys, results))
@@ -154,7 +154,7 @@ def run_lock_suite(cpu_counts: Sequence[int], acquisitions_per_cpu: int = 3,
 def run_qlock_suite(cpu_counts: Sequence[int], acquisitions_per_cpu: int = 3,
                     runner: Optional[ParallelRunner] = None,
                     metrics: bool = False, metrics_interval: int = 0,
-                    shards: int = 1, backend: Optional[str] = None,
+                    backend: Optional[str] = None,
                     ) -> dict[tuple[int, Mechanism, str], LockResult]:
     """Queue-lock measurements for every supported (P, mechanism,
     mcs|cna|rw) point.
@@ -169,7 +169,7 @@ def run_qlock_suite(cpu_counts: Sequence[int], acquisitions_per_cpu: int = 3,
                            acquisitions_per_cpu=acquisitions_per_cpu,
                            metrics=metrics,
                            metrics_interval=metrics_interval,
-                           shards=shards, backend=backend)
+                           backend=backend)
              for p, mech, lt in keys]
     results = _runner_or_serial(runner).run(specs)
     return dict(zip(keys, results))

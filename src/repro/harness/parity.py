@@ -46,40 +46,25 @@ def _traffic_dict(traffic: TrafficStats) -> dict:
 
 def barrier_fingerprint(mechanism: Mechanism, n_processors: int,
                         episodes: int = BARRIER_EPISODES,
-                        warm_cache=None, shards: int = 1,
-                        metrics: bool = False,
+                        warm_cache=None, metrics: bool = False,
                         backend: Optional[str] = None) -> dict:
     """Run one barrier configuration and reduce it to its fingerprint.
 
     Passing a :class:`repro.workloads.warm.WarmCache` routes the run
     through the snapshot/warm-start path; the fingerprint must come out
     identical either way — that equivalence *is* the parity claim the
-    snapshot layer makes, and the golden suite pins it.  ``shards > 1``
-    instead partitions the run across worker processes
-    (:func:`repro.shard.session.run_sharded`); cycles and messages must
-    again come out identical, ``events_dispatched`` excepted (compare
-    with ``diff_documents(..., ignore=SHARD_EXEMPT_KEYS)``).
-    ``metrics`` runs with the observability layer attached — it is
-    timing-neutral by contract, so the fingerprint must still match the
-    golden (this is how ``capture_parity.py --verify --metrics`` pins
-    that contract, single-process and sharded alike).  ``backend``
-    selects the event-kernel backend (:mod:`repro.sim.backends`) — the
-    fingerprint must be byte-identical for every backend, which is the
-    parity gate ``capture_parity.py --verify --backend accel`` enforces.
+    snapshot layer makes, and the golden suite pins it.  ``metrics``
+    runs with the observability layer attached — it is timing-neutral
+    by contract, so the fingerprint must still match the golden (this is
+    how ``capture_parity.py --verify --metrics`` pins that contract).
+    ``backend`` selects the event-kernel backend
+    (:mod:`repro.sim.backends`) — the fingerprint must be byte-identical
+    for every backend, which is the parity gate
+    ``capture_parity.py --verify --backend accel`` enforces.
     """
-    if shards > 1:
-        if warm_cache is not None:
-            raise ValueError("warm_cache and shards are mutually exclusive")
-        from repro.shard.session import run_sharded
-        res = run_sharded("barrier", dict(
-            n_processors=n_processors, mechanism=mechanism,
-            episodes=episodes, warmup_episodes=1, metrics=metrics,
-            backend=backend), shards)
-    else:
-        res = run_barrier_workload(n_processors, mechanism,
-                                   episodes=episodes,
-                                   warmup_episodes=1, warm_cache=warm_cache,
-                                   metrics=metrics, backend=backend)
+    res = run_barrier_workload(n_processors, mechanism, episodes=episodes,
+                               warmup_episodes=1, warm_cache=warm_cache,
+                               metrics=metrics, backend=backend)
     return {
         "workload": "barrier",
         "mechanism": mechanism.value,
@@ -92,23 +77,13 @@ def barrier_fingerprint(mechanism: Mechanism, n_processors: int,
 
 def lock_fingerprint(mechanism: Mechanism, n_processors: int,
                      acquisitions: int = LOCK_ACQUISITIONS,
-                     warm_cache=None, shards: int = 1,
-                     metrics: bool = False,
+                     warm_cache=None, metrics: bool = False,
                      backend: Optional[str] = None) -> dict:
     """Run one ticket-lock configuration and reduce it to a fingerprint."""
-    if shards > 1:
-        if warm_cache is not None:
-            raise ValueError("warm_cache and shards are mutually exclusive")
-        from repro.shard.session import run_sharded
-        res = run_sharded("lock", dict(
-            n_processors=n_processors, mechanism=mechanism,
-            acquisitions_per_cpu=acquisitions, warmup_per_cpu=1,
-            metrics=metrics, backend=backend), shards)
-    else:
-        res = run_lock_workload(n_processors, mechanism,
-                                acquisitions_per_cpu=acquisitions,
-                                warmup_per_cpu=1, warm_cache=warm_cache,
-                                metrics=metrics, backend=backend)
+    res = run_lock_workload(n_processors, mechanism,
+                            acquisitions_per_cpu=acquisitions,
+                            warmup_per_cpu=1, warm_cache=warm_cache,
+                            metrics=metrics, backend=backend)
     return {
         "workload": "lock",
         "mechanism": mechanism.value,
@@ -122,8 +97,7 @@ def lock_fingerprint(mechanism: Mechanism, n_processors: int,
 def qlock_fingerprint(mechanism: Mechanism, n_processors: int,
                       lock_type: str,
                       acquisitions: int = QLOCK_ACQUISITIONS,
-                      warm_cache=None, shards: int = 1,
-                      metrics: bool = False,
+                      warm_cache=None, metrics: bool = False,
                       backend: Optional[str] = None) -> dict:
     """Run one queue-lock configuration and reduce it to a fingerprint.
 
@@ -133,20 +107,10 @@ def qlock_fingerprint(mechanism: Mechanism, n_processors: int,
     lock is simply absent from the MAO fingerprints rather than refused
     mid-capture.
     """
-    if shards > 1:
-        if warm_cache is not None:
-            raise ValueError("warm_cache and shards are mutually exclusive")
-        from repro.shard.session import run_sharded
-        res = run_sharded("qlock", dict(
-            n_processors=n_processors, mechanism=mechanism,
-            lock_type=lock_type, acquisitions_per_cpu=acquisitions,
-            warmup_per_cpu=1, metrics=metrics, backend=backend), shards)
-    else:
-        res = run_qlock_workload(n_processors, mechanism,
-                                 lock_type=lock_type,
-                                 acquisitions_per_cpu=acquisitions,
-                                 warmup_per_cpu=1, warm_cache=warm_cache,
-                                 metrics=metrics, backend=backend)
+    res = run_qlock_workload(n_processors, mechanism, lock_type=lock_type,
+                             acquisitions_per_cpu=acquisitions,
+                             warmup_per_cpu=1, warm_cache=warm_cache,
+                             metrics=metrics, backend=backend)
     return {
         "workload": f"qlock_{lock_type}",
         "mechanism": mechanism.value,
@@ -160,7 +124,7 @@ def qlock_fingerprint(mechanism: Mechanism, n_processors: int,
 def capture_all(n_processors: int = 32,
                 mechanisms: Optional[list[Mechanism]] = None,
                 warm_cache=None, barrier_only: bool = False,
-                shards: int = 1, metrics: bool = False,
+                metrics: bool = False,
                 backend: Optional[str] = None) -> dict:
     """Fingerprint every mechanism (barrier + locks) at one machine size.
 
@@ -168,12 +132,9 @@ def capture_all(n_processors: int = 32,
     the document must be byte-identical to a cold capture (verified by
     ``tools/capture_parity.py --verify --warm``).  ``barrier_only``
     skips the lock fingerprints — on very large machines lock runs
-    serialize P acquisitions and dominate capture time.  ``shards > 1``
-    runs every fingerprint through sharded execution; the document is
-    stamped with the shard count and must match the single-process
-    golden up to :data:`SHARD_EXEMPT_KEYS`.  ``metrics`` attaches the
-    observability layer to every run (timing-neutral by contract: the
-    fingerprints must not move).  ``backend`` runs every fingerprint on
+    serialize P acquisitions and dominate capture time.  ``metrics``
+    attaches the observability layer to every run (timing-neutral by
+    contract: the fingerprints must not move).  ``backend`` runs every fingerprint on
     the named event-kernel backend; the document must stay byte-identical
     to the ``reference`` golden (``events_dispatched`` included).
 
@@ -188,19 +149,18 @@ def capture_all(n_processors: int = 32,
     for m in mechs:
         fp = {"barrier": barrier_fingerprint(m, n_processors,
                                              warm_cache=warm_cache,
-                                             shards=shards,
                                              metrics=metrics,
                                              backend=backend)}
         if not barrier_only:
             fp["lock"] = lock_fingerprint(m, n_processors,
                                           warm_cache=warm_cache,
-                                          shards=shards, metrics=metrics,
+                                          metrics=metrics,
                                           backend=backend)
             for lt in QLOCK_TYPES:
                 if qlock_supported(lt, m):
                     fp[f"qlock_{lt}"] = qlock_fingerprint(
                         m, n_processors, lt, warm_cache=warm_cache,
-                        shards=shards, metrics=metrics, backend=backend)
+                        metrics=metrics, backend=backend)
         fingerprints[m.value] = fp
     doc = {
         "n_processors": n_processors,
@@ -212,25 +172,11 @@ def capture_all(n_processors: int = 32,
         doc["barrier_only"] = True
     else:
         doc["qlock_acquisitions"] = QLOCK_ACQUISITIONS
-    if shards > 1:
-        doc["shards"] = shards
     return doc
 
 
-#: fingerprint keys a sharded run may legitimately change:
-#: events_dispatched counts *host-side* kernel events — each shard runs
-#: its own run_threads main, and a multicast fan-out group split across
-#: shards costs one delivery event per shard instead of one total
-SHARD_EXEMPT_KEYS = frozenset({"events_dispatched"})
-
-
-def diff_documents(golden: dict, got: dict,
-                   ignore: frozenset = frozenset()) -> list[str]:
-    """Human-readable drift report between two parity documents.
-
-    ``ignore`` names per-fingerprint keys excluded from the comparison
-    (pass :data:`SHARD_EXEMPT_KEYS` when ``got`` is a sharded capture).
-    """
+def diff_documents(golden: dict, got: dict) -> list[str]:
+    """Human-readable drift report between two parity documents."""
     lines = []
     gf = golden.get("fingerprints", {})
     of = got.get("fingerprints", {})
@@ -256,7 +202,7 @@ def diff_documents(golden: dict, got: dict,
             if g is None or o is None:
                 lines.append(f"{mech}/{workload}: present in only one side")
                 continue
-            for key in sorted((set(g) | set(o)) - ignore):
+            for key in sorted(set(g) | set(o)):
                 if g.get(key) != o.get(key):
                     lines.append(f"{mech}/{workload}.{key}: "
                                  f"golden={g.get(key)!r} got={o.get(key)!r}")

@@ -42,9 +42,8 @@ class Network:
         self._handlers: list[Optional[Callable[[Message], None]]] = \
             [None] * n_nodes
         # hooks observing every injected message (tracing, profiling,
-        # metrics) — see subscribe_send / the legacy on_send property
+        # metrics) — see subscribe_send
         self._send_hooks: list[Callable[[Message, int], None]] = []
-        self._legacy_send_hook: Optional[Callable[[Message, int], None]] = None
         # per-node link reservations (timestamp model, contention mode)
         self._uplink_free_at = [0] * n_nodes
         self._downlink_free_at = [0] * n_nodes
@@ -60,11 +59,8 @@ class Network:
         self._last_delivery: dict[tuple, int] = {}
         #: per-source injection sequence numbers — the ``(src, seq)``
         #: delivery-phase keys (see Simulator._push_delivery) that give
-        #: same-cycle arrivals a canonical, shard-independent order
+        #: same-cycle arrivals a canonical order
         self._inj_seq = [0] * n_nodes
-        #: ShardContext when this machine is one shard of a partitioned
-        #: run (see repro.shard); None = ordinary single-process machine
-        self.shard = None
         # (src, dst) -> (hops, base_latency): route metrics are static,
         # so the send fast path pays one dict probe instead of a
         # topology matrix walk plus a latency recomputation per packet
@@ -98,24 +94,6 @@ class Network:
             self._send_hooks.remove(hook)
         except ValueError:
             pass
-
-    @property
-    def on_send(self) -> Optional[Callable[[Message, int], None]]:
-        """Legacy single-hook view: the most recently subscribed hook.
-
-        Assigning replaces *only* the hook previously assigned through
-        this property (other subscribers are untouched); assigning
-        ``None`` removes it.  New code should use :meth:`subscribe_send`.
-        """
-        return self._send_hooks[-1] if self._send_hooks else None
-
-    @on_send.setter
-    def on_send(self, hook: Optional[Callable[[Message, int], None]]) -> None:
-        if self._legacy_send_hook is not None:
-            self.unsubscribe_send(self._legacy_send_hook)
-        self._legacy_send_hook = hook
-        if hook is not None:
-            self.subscribe_send(hook)
 
     def _route(self, src: int, dst: int) -> tuple[int, int]:
         """Cached ``(hops, one-way latency)`` for a node pair."""
@@ -165,18 +143,11 @@ class Network:
                     seqs = self._inj_seq
                     seq = seqs[src]
                     seqs[src] = seq + 1
-                    shard = self.shard
-                    if shard is not None and \
-                            not shard.owns_node(msg.dst_node):
-                        shard.export_unicast(sim.now + base_latency,
-                                             src, seq, msg)
-                    else:
-                        sim._push_delivery(sim.now + base_latency,
-                                           (src, seq),
-                                           (self._deliver, (msg,)))
+                    sim._push_delivery(sim.now + base_latency, (src, seq),
+                                       (self._deliver, (msg,)))
                 else:
-                    # zero-latency implies src == dst (node-local), so
-                    # never cross-shard; plain FIFO ring order
+                    # zero-latency implies src == dst (node-local):
+                    # plain FIFO ring order
                     sim._ring.append((self._deliver, (msg,)))
             else:
                 self._schedule_delivery(msg, self.sim.now + base_latency)
@@ -216,16 +187,13 @@ class Network:
         record = self.stats.record
         hooks = self._send_hooks
         seqs = self._inj_seq
-        shard = self.shard
-        # latency -> (local-member list, group id); the group id is the
-        # injection seq of the group's *first* packet, making the whole
-        # group one delivery-phase entry keyed like a unicast send.  All
-        # of a group's seqs are contiguous (nothing else injects inside
-        # this loop), so any member's seq orders the group correctly
-        # against every other same-cycle injection from this source —
-        # which is why a shard-split subgroup keyed by the same gid
-        # dispatches in exactly the single-process position.
-        groups: dict[int, tuple[list, int]] = {}
+        # latency -> member list; the group is one delivery-phase entry
+        # keyed like a unicast send, by the injection seq of its *first*
+        # packet.  All of a group's seqs are contiguous (nothing else
+        # injects inside this loop), so that key orders the group
+        # correctly against every other same-cycle injection from this
+        # source.
+        groups: dict[int, list] = {}
         for msg in messages:
             hops, base_latency = self._route(msg.src_node, msg.dst_node)
             record(now, msg, hops)
@@ -236,21 +204,14 @@ class Network:
                 src = msg.src_node
                 seq = seqs[src]
                 seqs[src] = seq + 1
-                entry = groups.get(base_latency)
-                if entry is None:
-                    groups[base_latency] = entry = ([], seq)
-                local, gid = entry
-                if shard is not None and \
-                        not shard.owns_node(msg.dst_node):
-                    shard.export_group_member(now + base_latency, src, gid,
-                                              msg)
-                else:
-                    if not local:
-                        # the event captures the list; packets grouped
-                        # later this cycle ride along for free
-                        sim._push_delivery(now + base_latency, (src, gid),
-                                           (self._deliver_group, (local,)))
-                    local.append(msg)
+                group = groups.get(base_latency)
+                if group is None:
+                    # the event captures the list; packets grouped
+                    # later this cycle ride along for free
+                    groups[base_latency] = group = []
+                    sim._push_delivery(now + base_latency, (src, seq),
+                                       (self._deliver_group, (group,)))
+                group.append(msg)
             else:
                 sim._ring.append((self._deliver, (msg,)))
 
@@ -287,11 +248,6 @@ class Network:
         (src, dst, cache line): same-line traffic stays ordered (the
         per-line coherence state machines require it) while cross-line
         messages may overtake within the injector's bounded window."""
-        if self.shard is not None:
-            raise RuntimeError(
-                "sharded execution supports only the latency-only fast "
-                "path; disable contention modelling and fault injection "
-                "or run single-process")
         delay = self.delay_injector
         reorder = self.reorder_injector
         if delay is not None:

@@ -25,15 +25,12 @@ from repro.obs.machine import MachineMetrics
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.sampler import Sampler
 from repro.obs.schema import validate_export, validate_snapshot
-from repro.obs.snapshot import (SHARD_EXEMPT_COUNTERS, SHARD_ONLY_PREFIXES,
-                                build_export, merge_snapshots,
-                                shard_counter_drift)
+from repro.obs.snapshot import build_export, merge_snapshots
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "MachineMetrics", "Sampler",
     "CriticalPathAnalyzer", "EpisodeBreakdown", "EventLog",
-    "merge_snapshots", "build_export", "shard_counter_drift",
-    "SHARD_EXEMPT_COUNTERS", "SHARD_ONLY_PREFIXES",
+    "merge_snapshots", "build_export",
     "validate_snapshot", "validate_export",
 ]

@@ -36,7 +36,7 @@ comparable across mechanisms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.mem.address import home_of
 
@@ -94,49 +94,10 @@ class EpisodeBreakdown:
 
 
 class CriticalPathAnalyzer:
-    """Attributes episode latency using a machine's own latency model.
+    """Attributes episode latency using a machine's own latency model."""
 
-    Construct either from a live :class:`Machine` (the single-process
-    path) or, via :meth:`from_config`, from a bare
-    :class:`~repro.config.parameters.SystemConfig` — the transit
-    estimate only needs the topology's hop counts and the configured
-    hop/local latencies, both of which are pure functions of the
-    config.  The config route is what lets the sharded session's parent
-    recompute the critical path over merged spans without building a
-    machine; both routes produce identical attributions for the same
-    trace.
-    """
-
-    def __init__(self, machine: Optional["Machine"] = None, *,
-                 config=None) -> None:
-        if machine is not None:
-            self.machine = machine
-            self._node_of_cpu = machine.node_of_cpu
-            self._latency = machine.net.latency
-        else:
-            if config is None:
-                raise ValueError(
-                    "CriticalPathAnalyzer needs a machine or a config")
-            from repro.network.topology import shared_topology
-            self.machine = None
-            topo = shared_topology(config.n_nodes,
-                                   radix=config.network.router_radix)
-            cpn = config.cpus_per_node
-            local = config.network.local_latency_cycles
-            per_hop = config.network.hop_latency_cycles
-
-            def _latency(src: int, dst: int) -> int:
-                if src == dst:
-                    return local
-                return topo.hops(src, dst) * per_hop
-
-            self._node_of_cpu = lambda cpu_id: cpu_id // cpn
-            self._latency = _latency
-
-    @classmethod
-    def from_config(cls, config) -> "CriticalPathAnalyzer":
-        """Analyzer over a machine-shaped latency model, no machine."""
-        return cls(config=config)
+    def __init__(self, machine: "Machine") -> None:
+        self.machine = machine
 
     # ------------------------------------------------------------------
     def _transit_estimate(self, span: "Span", track: str) -> int:
@@ -148,9 +109,9 @@ class CriticalPathAnalyzer:
             cpu_id = int(track.removeprefix("cpu"))
         except ValueError:
             return 0
-        src = self._node_of_cpu(cpu_id)
+        src = self.machine.node_of_cpu(cpu_id)
         dst = home_of(int(addr, 16) if isinstance(addr, str) else addr)
-        return 2 * self._latency(src, dst)
+        return 2 * self.machine.net.latency(src, dst)
 
     def analyze(self, tracer: "TraceRecorder") -> list[EpisodeBreakdown]:
         """Per-episode breakdowns, in episode order.

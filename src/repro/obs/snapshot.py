@@ -27,53 +27,6 @@ from repro.obs.registry import SNAPSHOT_SCHEMA
 #: export document format identifier
 EXPORT_SCHEMA = "repro.obs.export/1"
 
-#: Counters exempt from the sharded-vs-single-process equality contract,
-#: mirroring ``SHARD_EXEMPT_KEYS`` in :mod:`repro.harness.parity`.
-#: ``kernel.events_dispatched`` counts *host-side* kernel events: every
-#: shard runs its own ``run_threads`` main, and a multicast fan-out
-#: group split across shards costs one delivery event per shard, so the
-#: summed count legitimately exceeds the single-process one.
-SHARD_EXEMPT_COUNTERS = frozenset({"kernel.events_dispatched"})
-
-#: Metric-name prefixes that exist only in one execution mode and are
-#: therefore skipped by :func:`shard_counter_drift`: the ``shard.``
-#: family is recorded natively by the sharded session's parent router
-#: (sync rounds, window sizes, wire volumes) and has no single-process
-#: counterpart.
-SHARD_ONLY_PREFIXES = ("shard.",)
-
-
-def _shard_exempt(name: str, exempt: frozenset, prefixes: tuple) -> bool:
-    return name in exempt or name.startswith(prefixes)
-
-
-def shard_counter_drift(single: dict, sharded: dict,
-                        exempt: frozenset = SHARD_EXEMPT_COUNTERS,
-                        shard_only: tuple = SHARD_ONLY_PREFIXES,
-                        ) -> list[str]:
-    """Counter/histogram differences between a single-process snapshot
-    and a merged sharded snapshot, modulo the documented exemptions.
-
-    Returns one human-readable line per drifting metric; an empty list
-    means the two snapshots are counter-equal — the acceptance contract
-    for metrics under sharded execution.  Gauges are not compared: they
-    are point-in-time values whose merge rule (max across shards) is
-    already the aggregate, not a per-shard sum.
-    """
-    drift: list[str] = []
-    for section in ("counters", "histograms"):
-        a = single.get(section, {})
-        b = sharded.get(section, {})
-        for name in sorted(set(a) | set(b)):
-            if _shard_exempt(name, exempt, shard_only):
-                continue
-            va, vb = a.get(name), b.get(name)
-            if va != vb:
-                drift.append(
-                    f"{section}.{name}: single={va!r} sharded={vb!r}")
-    return drift
-
-
 def _merge_histogram(into: dict, hist: dict) -> None:
     into["count"] += hist["count"]
     into["sum"] += hist["sum"]

@@ -22,9 +22,6 @@ Failure model
   platforms without ``SIGALRM`` (no POSIX signals, or spawn-started
   workers where the interpreter embedding masks signal delivery);
   before it existed such runs could hold a pool slot forever.
-* Sharded specs (``spec.shards > 1``) always execute in the calling
-  process — each one manages its own worker-process group, and nesting
-  that inside a pool worker would oversubscribe the host.
 
 With ``jobs=1`` everything executes serially in the calling process —
 no pool, no pickling — which is the determinism-test path and the
@@ -194,17 +191,10 @@ class ParallelRunner:
 
         unique = [(key, specs[index_groups[key][0]]) for key in order]
         if unique:
-            # sharded specs own a process group each: run them inline
-            # regardless of --jobs (nesting them in pool workers would
-            # oversubscribe the host and complicate crash recovery)
-            inline = [(k, s) for k, s in unique if s.shards > 1]
-            pooled = [(k, s) for k, s in unique if s.shards <= 1]
-            resolved = self._run_serial(inline) if inline else {}
-            if pooled:
-                if self.jobs == 1:
-                    resolved.update(self._run_serial(pooled))
-                else:
-                    resolved.update(self._run_pool(pooled))
+            if self.jobs == 1:
+                resolved = self._run_serial(unique)
+            else:
+                resolved = self._run_pool(unique)
             for key, (outcome, n_attempts) in resolved.items():
                 if isinstance(outcome, RunRecord) and self.cache is not None:
                     self.cache.store(outcome)

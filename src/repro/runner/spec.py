@@ -74,14 +74,8 @@ class RunSpec:
     kind: str
     #: sorted ``(name, value)`` pairs — hashable and order-independent
     params: tuple[tuple[str, Any], ...]
-    #: execute across N shard worker processes (:mod:`repro.shard`).
-    #: An execution detail, not semantics — sharded runs are cycle- and
-    #: message-identical — so it is excluded from equality and from
-    #: :meth:`canonical` (the cache key): a cached single-process result
-    #: answers a sharded spec and vice versa.
-    shards: int = field(default=1, compare=False)
-    #: event-kernel backend (:mod:`repro.sim.backends`).  Like ``shards``
-    #: this is an execution detail — every backend is parity-gated to
+    #: event-kernel backend (:mod:`repro.sim.backends`).  This is an
+    #: execution detail, not semantics — every backend is parity-gated to
     #: byte-identical results — so it too stays out of equality and the
     #: cache key: a cached ``reference`` result answers an ``accel`` spec
     #: and vice versa.  ``None`` defers to $REPRO_KERNEL_BACKEND.
@@ -96,18 +90,13 @@ class RunSpec:
                 episodes: int = 4, warmup_episodes: int = 1,
                 tree_branching: Optional[int] = None, naive: bool = False,
                 home_node: int = 0, metrics: bool = False,
-                metrics_interval: int = 0, shards: int = 1,
+                metrics_interval: int = 0,
                 backend: Optional[str] = None) -> "RunSpec":
         """A :func:`~repro.workloads.barrier.run_barrier_workload` point.
 
         Metrics parameters enter the spec (and hence the cache key) only
         when enabled, so metered and unmetered sweeps cache separately
-        and pre-existing cache entries keep their keys.  ``shards > 1``
-        partitions the run across worker processes (:mod:`repro.shard`);
-        since sharded results are cycle- and message-identical to
-        single-process, the parameter stays *out* of the cache key — a
-        cached single-process result answers a sharded spec and vice
-        versa (``events_dispatched``, a host-side metric, may differ).
+        and pre-existing cache entries keep their keys.
         """
         params = dict(n_processors=n_processors, mechanism=mechanism,
                       episodes=episodes, warmup_episodes=warmup_episodes,
@@ -118,8 +107,6 @@ class RunSpec:
             if metrics_interval:
                 params["metrics_interval"] = metrics_interval
         spec = cls.make("barrier", **params)
-        if shards > 1:
-            spec = replace(spec, shards=shards)
         if backend is not None:
             spec = replace(spec, backend=backend)
         return spec
@@ -129,7 +116,7 @@ class RunSpec:
              lock_type: str = "ticket", acquisitions_per_cpu: int = 4,
              warmup_per_cpu: int = 1, home_node: int = 0,
              metrics: bool = False,
-             metrics_interval: int = 0, shards: int = 1,
+             metrics_interval: int = 0,
              backend: Optional[str] = None) -> "RunSpec":
         """A :func:`~repro.workloads.locks.run_lock_workload` point."""
         params = dict(n_processors=n_processors, mechanism=mechanism,
@@ -141,8 +128,6 @@ class RunSpec:
             if metrics_interval:
                 params["metrics_interval"] = metrics_interval
         spec = cls.make("lock", **params)
-        if shards > 1:
-            spec = replace(spec, shards=shards)
         if backend is not None:
             spec = replace(spec, backend=backend)
         return spec
@@ -152,7 +137,7 @@ class RunSpec:
               lock_type: str = "mcs", acquisitions_per_cpu: int = 4,
               warmup_per_cpu: int = 1, batch_threshold: Optional[int] = None,
               home_node: int = 0, metrics: bool = False,
-              metrics_interval: int = 0, shards: int = 1,
+              metrics_interval: int = 0,
               backend: Optional[str] = None) -> "RunSpec":
         """A :func:`~repro.workloads.qlocks.run_qlock_workload` point.
 
@@ -171,8 +156,6 @@ class RunSpec:
             if metrics_interval:
                 params["metrics_interval"] = metrics_interval
         spec = cls.make("qlock", **params)
-        if shards > 1:
-            spec = replace(spec, shards=shards)
         if backend is not None:
             spec = replace(spec, backend=backend)
         return spec
@@ -223,8 +206,6 @@ class RunSpec:
         """Short human label for progress lines."""
         kw = self.kwargs
         bits = [self.kind]
-        if self.shards > 1:
-            bits.append(f"x{self.shards}shards")
         if "n_processors" in kw:
             bits.append(f"P={kw['n_processors']}")
         mech = kw.get("mechanism")
@@ -272,19 +253,15 @@ def execute_spec(spec: RunSpec) -> RunRecord:
             f"{registered_kinds()}") from None
     kwargs = spec.kwargs
     if spec.backend is not None:
-        # execution detail like ``shards``: threaded to the driver (and
-        # through it to every shard worker) but never into the cache key
+        # execution detail: threaded to the driver but never into the
+        # cache key
         kwargs["backend"] = spec.backend
     t0 = time.perf_counter()
-    if spec.shards > 1:
-        from repro.shard.session import run_sharded
-        result = run_sharded(spec.kind, kwargs, spec.shards)
-    else:
-        if spec.kind in _WARMABLE_KINDS:
-            warm = _process_warm_cache()
-            if warm is not None:
-                kwargs["warm_cache"] = warm
-        result = fn(**kwargs)
+    if spec.kind in _WARMABLE_KINDS:
+        warm = _process_warm_cache()
+        if warm is not None:
+            kwargs["warm_cache"] = warm
+    result = fn(**kwargs)
     wall = time.perf_counter() - t0
     if isinstance(result, dict):
         sim_events = result.get("events_dispatched", 0)

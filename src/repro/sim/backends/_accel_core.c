@@ -87,8 +87,8 @@ static long long g_line_bytes, g_word_bytes;
 static PyTypeObject Coro_Type;
 
 /* interned names used by the model fast paths */
-static PyObject *s_sim, *s_send, *s_stats, *s_config, *s_shard,
-    *s_handlers, *s_send_hooks, *s_delay_injector, *s_reorder_injector,
+static PyObject *s_sim, *s_send, *s_stats, *s_config, *s_handlers,
+    *s_send_hooks, *s_delay_injector, *s_reorder_injector,
     *s_inj_seq, *s_route_cache, *s_deliver, *s_messages, *s_bytes,
     *s_hop_bytes, *s_local_messages, *s_retransmits, *s_trace_enabled,
     *s_router_contention, *s_link_contention, *s_is_reply,
@@ -1588,16 +1588,6 @@ sim_pending_events(SimObject *self, PyObject *Py_UNUSED(ignored))
     return PyLong_FromSsize_t(total);
 }
 
-static PyObject *
-sim_next_event_time(SimObject *self, PyObject *Py_UNUSED(ignored))
-{
-    if (self->ring->len)
-        return PyLong_FromLongLong(self->now);
-    if (self->heap_len)
-        return PyLong_FromLongLong(self->heap[0]);
-    Py_RETURN_NONE;
-}
-
 /* ---- attribute plumbing ---- */
 
 static PyObject *
@@ -1698,8 +1688,6 @@ static PyMethodDef Sim_methods[] = {
      "the process result (raises on deadlock)."},
     {"pending_events", (PyCFunction)sim_pending_events, METH_NOARGS,
      "Number of events currently queued (diagnostic)."},
-    {"next_event_time", (PyCFunction)sim_next_event_time, METH_NOARGS,
-     "Earliest queued event time, or None if drained."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2225,7 +2213,13 @@ done:
 }
 
 /* Network.send fast path (latency-only universe).  Returns 0 handled,
- * 1 fall back (nothing mutated), -1 error. */
+ * 1 fall back (nothing mutated), -1 error.
+ *
+ * Only genuine precondition misses fall back: contention modelling on,
+ * an injector installed, a send hook subscribed, stats tracing, a cold
+ * route, or a value of a non-exact type.  A failed read of an attribute
+ * that Network.__init__ or TrafficStats always sets is an error and
+ * propagates, exactly as it would from the Python coding. */
 static int
 send_fast(PyObject *net, PyObject *msg)
 {
@@ -2242,42 +2236,32 @@ send_fast(PyObject *net, PyObject *msg)
     }
     SimObject *sim = (SimObject *)sim_obj;
     int rc = -1;
-    PyObject *stats = NULL, *key = NULL, *deliver = NULL;
+    PyObject *stats = NULL, *key = NULL, *deliver = NULL, *seqs = NULL;
+    PyObject *counters[3] = { NULL, NULL, NULL };
     /* --- precondition phase: no mutation before every check passes --- */
     {
         PyObject *cfg = PyObject_GetAttr(net, s_config);
         if (cfg == NULL)
-            goto soft_fallback;
+            goto done;
+        PyObject *flags[2] = { s_router_contention, s_link_contention };
         int contended = 0;
-        static PyObject **contention_names[] = { NULL, NULL };
-        contention_names[0] = &s_router_contention;
-        contention_names[1] = &s_link_contention;
         for (int i = 0; i < 2 && !contended; i++) {
-            PyObject *flag = PyObject_GetAttr(cfg, *contention_names[i]);
-            if (flag == NULL) {
-                Py_DECREF(cfg);
-                goto soft_fallback;
-            }
-            contended = PyObject_IsTrue(flag);
-            Py_DECREF(flag);
-            if (contended < 0) {
-                Py_DECREF(cfg);
-                goto done;
-            }
+            PyObject *flag = PyObject_GetAttr(cfg, flags[i]);
+            contended = flag == NULL ? -1 : PyObject_IsTrue(flag);
+            Py_XDECREF(flag);
         }
         Py_DECREF(cfg);
+        if (contended < 0)
+            goto done;
         if (contended)
             goto soft_fallback;
     }
     {
-        PyObject *names[3];
-        names[0] = s_delay_injector;
-        names[1] = s_reorder_injector;
-        names[2] = s_shard;
-        for (int i = 0; i < 3; i++) {
+        PyObject *names[2] = { s_delay_injector, s_reorder_injector };
+        for (int i = 0; i < 2; i++) {
             PyObject *obj = PyObject_GetAttr(net, names[i]);
             if (obj == NULL)
-                goto soft_fallback;
+                goto done;
             int none = (obj == Py_None);
             Py_DECREF(obj);
             if (!none)
@@ -2287,7 +2271,7 @@ send_fast(PyObject *net, PyObject *msg)
     {
         PyObject *hooks = PyObject_GetAttr(net, s_send_hooks);
         if (hooks == NULL)
-            goto soft_fallback;
+            goto done;
         int empty = PyList_CheckExact(hooks)
             && PyList_GET_SIZE(hooks) == 0;
         Py_DECREF(hooks);
@@ -2296,13 +2280,13 @@ send_fast(PyObject *net, PyObject *msg)
     }
     stats = PyObject_GetAttr(net, s_stats);
     if (stats == NULL)
-        goto soft_fallback;
+        goto done;
     if (!Py_IS_TYPE(stats, g_StatsType))
         goto soft_fallback;
     {
         PyObject *te = PyObject_GetAttr(stats, s_trace_enabled);
         if (te == NULL)
-            goto soft_fallback;
+            goto done;
         int tracing = PyObject_IsTrue(te);
         Py_DECREF(te);
         if (tracing < 0)
@@ -2318,7 +2302,7 @@ send_fast(PyObject *net, PyObject *msg)
             goto soft_fallback;
         PyObject *cache = PyObject_GetAttr(net, s_route_cache);
         if (cache == NULL)
-            goto soft_fallback;
+            goto done;
         if (!PyDict_CheckExact(cache)) {
             Py_DECREF(cache);
             goto soft_fallback;
@@ -2346,87 +2330,56 @@ send_fast(PyObject *net, PyObject *msg)
     if (kind == NULL)
         goto soft_fallback;
     long long size = 0;
-    PyObject *counters[3] = { NULL, NULL, NULL };
     if (hops == 0) {
         counters[0] = PyObject_GetAttr(stats, s_local_messages);
+        if (counters[0] == NULL)
+            goto done;
     }
     else {
-        counters[0] = PyObject_GetAttr(stats, s_messages);
-        counters[1] = PyObject_GetAttr(stats, s_bytes);
-        counters[2] = PyObject_GetAttr(stats, s_hop_bytes);
-        if (ll_of(SLOT(msg, off_m_size), &size) < 0) {
-            Py_XDECREF(counters[0]);
-            Py_XDECREF(counters[1]);
-            Py_XDECREF(counters[2]);
-            goto soft_fallback;
-        }
-    }
-    {
-        int bad = 0;
+        PyObject *names[3] = { s_messages, s_bytes, s_hop_bytes };
         for (int i = 0; i < 3; i++) {
-            if (i == 0 || hops != 0) {
-                if (counters[i] == NULL || !PyDict_Check(counters[i]))
-                    bad = 1;
-            }
+            counters[i] = PyObject_GetAttr(stats, names[i]);
+            if (counters[i] == NULL)
+                goto done;
         }
-        if (bad) {
-            PyErr_Clear();
-            Py_XDECREF(counters[0]);
-            Py_XDECREF(counters[1]);
-            Py_XDECREF(counters[2]);
+        if (ll_of(SLOT(msg, off_m_size), &size) < 0)
             goto soft_fallback;
-        }
+    }
+    for (int i = 0; i < 3; i++) {
+        if (counters[i] != NULL && !PyDict_Check(counters[i]))
+            goto soft_fallback;
     }
     int retrans = slot_truth(SLOT(msg, off_m_retransmit));
+    if (retrans < 0)
+        goto done;
     long long retrans_base = 0;
     if (retrans > 0) {
         PyObject *rt = PyObject_GetAttr(stats, s_retransmits);
-        int ok = rt != NULL && ll_of(rt, &retrans_base) == 0;
-        Py_XDECREF(rt);
-        if (!ok) {
-            PyErr_Clear();
-            Py_XDECREF(counters[0]);
-            Py_XDECREF(counters[1]);
-            Py_XDECREF(counters[2]);
+        if (rt == NULL)
+            goto done;
+        int ok = ll_of(rt, &retrans_base) == 0;
+        Py_DECREF(rt);
+        if (!ok)
             goto soft_fallback;
-        }
     }
-    else if (retrans < 0) {
-        Py_XDECREF(counters[0]);
-        Py_XDECREF(counters[1]);
-        Py_XDECREF(counters[2]);
-        goto done;
-    }
-    PyObject *seqs = NULL;
     long long src_ll = 0, seq = 0;
     if (lat != 0) {
-        PyObject *src = SLOT(msg, off_m_src);
         seqs = PyObject_GetAttr(net, s_inj_seq);
-        int ok = seqs != NULL && PyList_CheckExact(seqs)
-            && ll_of(src, &src_ll) == 0 && src_ll >= 0
+        if (seqs == NULL)
+            goto done;
+        int ok = PyList_CheckExact(seqs)
+            && ll_of(SLOT(msg, off_m_src), &src_ll) == 0 && src_ll >= 0
             && src_ll < PyList_GET_SIZE(seqs)
             && ll_of(PyList_GET_ITEM(seqs, src_ll), &seq) == 0;
-        if (!ok) {
-            PyErr_Clear();
-            Py_XDECREF(seqs);
-            Py_XDECREF(counters[0]);
-            Py_XDECREF(counters[1]);
-            Py_XDECREF(counters[2]);
+        if (!ok)
             goto soft_fallback;
-        }
     }
     deliver = PyObject_GetAttr(net, s_deliver);
-    if (deliver == NULL) {
-        PyErr_Clear();
-        Py_XDECREF(seqs);
-        Py_XDECREF(counters[0]);
-        Py_XDECREF(counters[1]);
-        Py_XDECREF(counters[2]);
-        goto soft_fallback;
-    }
+    if (deliver == NULL)
+        goto done;
     /* --- commit phase: stats.record + inlined delivery scheduling --- */
     {
-        int err = 0;
+        int err;
         if (hops == 0) {
             err = counter_add(counters[0], kind, 1) < 0;
         }
@@ -2435,75 +2388,59 @@ send_fast(PyObject *net, PyObject *msg)
                 || counter_add(counters[1], kind, size) < 0
                 || counter_add(counters[2], kind, size * hops) < 0;
         }
-        Py_XDECREF(counters[0]);
-        Py_XDECREF(counters[1]);
-        Py_XDECREF(counters[2]);
-        if (err) {
-            Py_XDECREF(seqs);
+        if (err)
             goto done;
-        }
         if (retrans > 0) {
             PyObject *nrt = PyLong_FromLongLong(retrans_base + 1);
-            if (nrt == NULL || PyObject_SetAttr(stats, s_retransmits,
-                                                nrt) < 0) {
-                Py_XDECREF(nrt);
-                Py_XDECREF(seqs);
+            err = nrt == NULL
+                || PyObject_SetAttr(stats, s_retransmits, nrt) < 0;
+            Py_XDECREF(nrt);
+            if (err)
                 goto done;
-            }
-            Py_DECREF(nrt);
         }
         PyObject *margs = PyTuple_Pack(1, msg);
-        if (margs == NULL) {
-            Py_XDECREF(seqs);
+        if (margs == NULL)
             goto done;
-        }
         PyObject *ev = PyTuple_Pack(2, deliver, margs);
         Py_DECREF(margs);
-        if (ev == NULL) {
-            Py_XDECREF(seqs);
+        if (ev == NULL)
             goto done;
-        }
+        int r;
         if (lat != 0) {
             PyObject *seq_old = Py_NewRef(PyList_GET_ITEM(seqs, src_ll));
             PyObject *seq_new = PyLong_FromLongLong(seq + 1);
             if (seq_new == NULL) {
                 Py_DECREF(seq_old);
                 Py_DECREF(ev);
-                Py_DECREF(seqs);
                 goto done;
             }
             PyList_SetItem(seqs, src_ll, seq_new);   /* steals seq_new */
-            Py_DECREF(seqs);
             PyObject *dkey = PyTuple_Pack(2, SLOT(msg, off_m_src),
                                           seq_old);
             Py_DECREF(seq_old);
-            if (dkey == NULL) {
-                Py_DECREF(ev);
-                goto done;
-            }
-            int r = push_delivery_c(sim, sim->now + lat, dkey, ev);
-            Py_DECREF(dkey);
-            Py_DECREF(ev);
-            if (r < 0)
-                goto done;
+            r = dkey == NULL
+                ? -1 : push_delivery_c(sim, sim->now + lat, dkey, ev);
+            Py_XDECREF(dkey);
         }
         else {
             /* zero latency implies node-local: plain FIFO ring order */
-            int r = ring_push(sim->ring, ev);
-            Py_DECREF(ev);
-            if (r < 0)
-                goto done;
+            r = ring_push(sim->ring, ev);
         }
+        Py_DECREF(ev);
+        if (r < 0)
+            goto done;
         rc = 0;
         goto done;
     }
 soft_fallback:
-    PyErr_Clear();
     rc = 1;
 done:
     Py_XDECREF(stats);
     Py_XDECREF(key);
     Py_XDECREF(deliver);
+    Py_XDECREF(seqs);
+    for (int i = 0; i < 3; i++)
+        Py_XDECREF(counters[i]);
     Py_DECREF(sim_obj);
     return rc;
 }
@@ -4720,7 +4657,6 @@ intern_all(void)
     INTERN(s_send, "send");
     INTERN(s_stats, "stats");
     INTERN(s_config, "config");
-    INTERN(s_shard, "shard");
     INTERN(s_handlers, "_handlers");
     INTERN(s_send_hooks, "_send_hooks");
     INTERN(s_delay_injector, "delay_injector");

@@ -27,10 +27,11 @@ When armed, :func:`model_classes` returns thin subclasses:
     attributes.  Each falls back to the Python coding **before mutating
     anything** whenever a precondition fails: contention modelling on,
     injectors installed, send hooks subscribed, stats tracing, a cold
-    route cache, a sharded run.  Instance-attribute monkeypatching
-    (``repro.check.fuzz`` wraps ``net.send``) still composes — the
-    wrapper shadows the compiled attribute and receives it as the
-    original to forward to.
+    route cache, a value of a non-exact type.  A failed read of an
+    attribute the fabric always sets is an error and propagates.
+    Instance-attribute monkeypatching (``repro.check.fuzz`` wraps
+    ``net.send``) still composes — the wrapper shadows the compiled
+    attribute and receives it as the original to forward to.
 
 ``AccelHub`` / ``AccelEgressWave``
     The wave's per-packet ``_granted``/``_expire`` callbacks become C
@@ -43,7 +44,7 @@ When armed, :func:`model_classes` returns thin subclasses:
 
 Every fast path preserves the reference event stream bit-for-bit: same
 events, same counts, same order (golden parity enforces this across
-fresh/warm/sharded/metered/qlock fingerprints).  The win is constant
+fresh/warm/metered/qlock fingerprints).  The win is constant
 factor only — each event gets cheaper, no event disappears.
 """
 

@@ -23,9 +23,9 @@ two phases:
    :meth:`Simulator._push_delivery`, dispatched in ``(src, seq)`` key
    order, where ``src`` is the injecting node and ``seq`` a per-source
    injection sequence number.  The key depends only on the *sender's*
-   own history, never on global event interleaving, which is what makes
-   a sharded run (see :mod:`repro.shard`) dispatch same-cycle arrivals
-   in exactly the order the single-process kernel does;
+   own history, never on global event interleaving, so same-cycle
+   arrivals have one canonical order (the 512-CPU golden fingerprints
+   pin it);
 2. everything else, FIFO in schedule order (ring order == push order).
 
 Every run remains fully deterministic — a property the test suite leans
@@ -139,7 +139,7 @@ class Simulator:
         per ``src`` — unique keys, totally ordered, derived only from
         the sender's own injection history.  Deliveries at ``when`` fire
         before that cycle's regular bucket, in key order; this is the
-        canonical arrival order that sharded execution reproduces.
+        canonical arrival order the golden fingerprints pin.
         """
         if when <= self.now:
             raise SimulationError(
@@ -356,15 +356,3 @@ class Simulator:
         return (len(self._ring)
                 + sum(len(b) for b in self._buckets.values())
                 + sum(len(p) for p in self._phase.values()))
-
-    def next_event_time(self) -> Optional[int]:
-        """Earliest time any queued event is due, or ``None`` if drained.
-
-        Used by the sharded window loop to propose the next global
-        window start; ring events are due *now*.
-        """
-        if self._ring:
-            return self.now
-        if self._times:
-            return self._times[0]
-        return None

@@ -15,10 +15,10 @@ holder-owned words at the lock's home: the secondary queue's head and
 tail handles and the consecutive-local-grant counter.  Real CNA packs
 these into the lock word and the holder's qnode; giving them their own
 words keeps the handle encoding simple while still routing every access
-through simulated coherent memory — which is also what lets the lock
-run *sharded* (all cross-holder state lives in the machine, none in
-host-side Python attributes).  Only the current holder touches them, so
-plain loads/stores are race-free by mutual exclusion itself.
+through simulated coherent memory (all cross-holder state lives in the
+machine, none in host-side Python attributes).  Only the current holder
+touches them, so plain loads/stores are race-free by mutual exclusion
+itself.
 
 Acquire is inherited from MCS unchanged.  The checker contract this
 lock is fuzzed against

@@ -8,14 +8,6 @@ Chrome trace format notes: we emit "X" (complete) events with ``ts`` and
 ``dur`` in simulated CPU cycles (one cycle rendered as one microsecond —
 the viewer's unit label is cosmetic), one "process" per machine and one
 "thread" per track (cpu0..N, net).
-
-Sharded runs merge per-shard recorders into one timeline
-(:meth:`TraceRecorder.merged`): each shard's spans keep their simulated
-timestamps (the determinism contract makes them globally comparable)
-and land in their own *lane* — rendered as one Chrome process per lane
-(pid = lane + 1) — with lane 0 reserved for the parent router's
-sync-round windows.  Single-machine recorders have no lanes and export
-exactly as before (every event pid 1, no process metadata).
 """
 
 from __future__ import annotations
@@ -37,8 +29,6 @@ class Span:
     start: int
     end: int
     args: dict = field(default_factory=dict)
-    #: merge lane (0 = single machine / parent; shard *s* = ``s + 1``)
-    lane: int = 0
 
     @property
     def duration(self) -> int:
@@ -53,8 +43,6 @@ class Instant:
     name: str
     time: int
     args: dict = field(default_factory=dict)
-    #: merge lane (0 = single machine / parent; shard *s* = ``s + 1``)
-    lane: int = 0
 
 
 class TraceRecorder:
@@ -64,8 +52,6 @@ class TraceRecorder:
         self.spans: list[Span] = []
         self.instants: list[Instant] = []
         self.message_capture = True
-        #: lane id -> lane name; empty for single-machine recorders
-        self.lanes: dict[int, str] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -89,31 +75,6 @@ class TraceRecorder:
         return tracer
 
     # ------------------------------------------------------------------
-    @classmethod
-    def merged(cls, parts: list[tuple[str, list[Span], list[Instant]]],
-               ) -> "TraceRecorder":
-        """One timeline from per-shard recorders plus a parent lane.
-
-        ``parts`` is ``[(lane_name, spans, instants), ...]``; part 0 is
-        the parent router (sync-round windows, may be empty), parts
-        1..N are the shards in shard order.  Span/instant objects are
-        re-labelled in place with their lane id — the caller hands over
-        ownership.  Per-track span order is preserved (each track lives
-        entirely on one lane), so analyzers that iterate
-        :meth:`spans_on` see single-process-identical sequences.
-        """
-        out = cls()
-        for lane, (name, spans, instants) in enumerate(parts):
-            out.lanes[lane] = name
-            for span in spans:
-                span.lane = lane
-                out.spans.append(span)
-            for inst in instants:
-                inst.lane = lane
-                out.instants.append(inst)
-        return out
-
-    # ------------------------------------------------------------------
     def add_span(self, track: str, name: str, start: int, end: int,
                  **args: Any) -> None:
         self.spans.append(Span(track=track, name=name, start=start,
@@ -132,47 +93,28 @@ class TraceRecorder:
 
     # ------------------------------------------------------------------
     def to_chrome_trace(self) -> dict:
-        """The trace as a chrome://tracing-compatible dict.
-
-        Lane-less recorders (the single-machine case) render as one
-        process (pid 1).  Merged recorders render one process per lane
-        — pid = lane + 1 — named from :attr:`lanes`, with thread ids
-        assigned per (lane, track).
-        """
+        """The trace as a chrome://tracing-compatible dict: one process
+        (pid 1), one thread per track in sorted track order."""
         events = []
-        if not self.lanes:
-            pid_of = {0: 1}
-        else:
-            pid_of = {lane: lane + 1 for lane in self.lanes}
-            for lane in sorted(self.lanes):
-                events.append({
-                    "name": "process_name", "ph": "M", "pid": lane + 1,
-                    "tid": 0, "args": {"name": self.lanes[lane]},
-                })
-        keys = sorted({(s.lane, s.track) for s in self.spans}
-                      | {(i.lane, i.track) for i in self.instants})
-        tid_of: dict[tuple[int, str], int] = {}
-        next_tid: dict[int, int] = {}
-        for lane, track in keys:
-            tid = next_tid.get(lane, 0)
-            next_tid[lane] = tid + 1
-            tid_of[(lane, track)] = tid
+        tracks = sorted({s.track for s in self.spans}
+                        | {i.track for i in self.instants})
+        tid_of = {track: tid for tid, track in enumerate(tracks)}
+        for track, tid in tid_of.items():
             events.append({
-                "name": "thread_name", "ph": "M", "pid": pid_of[lane],
+                "name": "thread_name", "ph": "M", "pid": 1,
                 "tid": tid, "args": {"name": track},
             })
         for span in self.spans:
             events.append({
-                "name": span.name, "ph": "X", "pid": pid_of[span.lane],
-                "tid": tid_of[(span.lane, span.track)], "ts": span.start,
+                "name": span.name, "ph": "X", "pid": 1,
+                "tid": tid_of[span.track], "ts": span.start,
                 "dur": max(span.duration, 1), "cat": "op",
                 "args": span.args,
             })
         for inst in self.instants:
             events.append({
-                "name": inst.name, "ph": "i", "s": "t",
-                "pid": pid_of[inst.lane],
-                "tid": tid_of[(inst.lane, inst.track)], "ts": inst.time,
+                "name": inst.name, "ph": "i", "s": "t", "pid": 1,
+                "tid": tid_of[inst.track], "ts": inst.time,
                 "cat": "msg", "args": inst.args,
             })
         return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -16,12 +16,10 @@ for the rw lock) and verifies it offline against the matching
 linearizability checker (:mod:`repro.check.linearize`) on every
 single-process run — the same checkers the fuzzer drives, so a schedule
 that breaks FIFO order or the CNA fairness bound fails here too, not
-only under fuzzing.  Sharded runs skip the offline check (each worker
-observes only its local CPUs' spans); the fuzz and parity suites cover
-those paths single-process.
+only under fuzzing.
 
 Results reuse :class:`~repro.workloads.locks.LockResult`, so sweeps,
-caching, shard merging, and golden fingerprints treat queue locks
+caching, metrics merging, and golden fingerprints treat queue locks
 exactly like the paper's locks.
 """
 
@@ -232,8 +230,7 @@ def run_qlock_workload(n_processors: int, mechanism: Mechanism,
     total = machine.last_completion_time - start
     traffic = machine.net.stats.delta_since(before)
     machine.check_coherence_invariants()
-    if machine.net.shard is None:
-        _check_history(lock_type, spans, batch_threshold)
+    _check_history(lock_type, spans, batch_threshold)
     snapshot = None
     if obs is not None:
         analyzer = CriticalPathAnalyzer(machine)

@@ -92,7 +92,7 @@ def test_late_duplicate_reply_dropped():
 def test_on_send_hook_sees_hops():
     sim, net = make_net(16)
     hooks = []
-    net.on_send = lambda msg, hops: hooks.append(hops)
+    net.subscribe_send(lambda msg, hops: hooks.append(hops))
     net.attach(15, lambda msg: None)
     net.send(Message(kind=MessageKind.GET_S, src_node=0, dst_node=15))
     sim.run()

@@ -3,9 +3,7 @@
 Regression for the single-slot ``net.on_send`` attribute the seed code
 used: attaching a second observer silently replaced the first, so the
 attach *order* of tracer / sharing profiler / metrics decided which one
-saw traffic.  ``subscribe_send`` keeps a hook list; the legacy
-``on_send`` property remains for existing callers and coexists with
-subscribers.
+saw traffic.  ``subscribe_send`` keeps a hook list.
 """
 
 import pytest
@@ -69,28 +67,6 @@ def test_unsubscribe_removes_only_that_hook():
     net.unsubscribe_send(goner)          # second removal is a no-op
     ping(sim, net)
     assert kept == [2] and dropped == []
-
-
-def test_legacy_on_send_coexists_with_subscribers():
-    sim, net = make_net()
-    via_property, via_subscribe = [], []
-    net.subscribe_send(lambda msg, hops: via_subscribe.append(hops))
-    net.on_send = lambda msg, hops: via_property.append(hops)
-    ping(sim, net)
-    assert via_property == [2] and via_subscribe == [2]
-
-
-def test_legacy_reassignment_replaces_only_its_own_hook():
-    sim, net = make_net()
-    first, second, other = [], [], []
-    net.subscribe_send(lambda msg, hops: other.append(hops))
-    net.on_send = lambda msg, hops: first.append(hops)
-    net.on_send = lambda msg, hops: second.append(hops)
-    ping(sim, net)
-    assert first == [] and second == [2] and other == [2]
-    net.on_send = None                    # clears the legacy slot only
-    ping(sim, net)
-    assert second == [2] and other == [2, 2]
 
 
 @pytest.mark.parametrize("order", ["tracer-first", "metrics-first"])

@@ -80,21 +80,3 @@ def test_describe_is_readable(machine4):
     b = CriticalPathAnalyzer(machine4).analyze(tracer)[0]
     text = b.describe()
     assert "cpu3" in text and "50 cycles" in text
-
-
-def test_from_config_matches_machine_analyzer(machine4):
-    """The config-only constructor (used by the shard parent, which has
-    no machine) must reproduce the machine-based analyzer's latency
-    model exactly — same node mapping, same transit estimates."""
-    tracer = make_tracer()
-    var = machine4.alloc("v", home_node=1)
-    tracer.add_span("cpu0", EPISODE_SPAN, 0, 2_000)
-    tracer.add_span("cpu0", "amo", 0, 1_000, addr=hex(var.addr))
-    tracer.add_span("cpu3", EPISODE_SPAN, 0, 1_500)
-    tracer.add_span("cpu3", "spin_until", 100, 900)
-    by_machine = CriticalPathAnalyzer(machine4)
-    by_config = CriticalPathAnalyzer.from_config(machine4.config)
-    assert by_config.machine is None
-    ref = by_machine.summarize(by_machine.analyze(tracer))
-    got = by_config.summarize(by_config.analyze(tracer))
-    assert got == ref

@@ -120,8 +120,8 @@ def test_delivery_phase_precedes_regular_bucket(backend):
 
 def test_delivery_phase_src_seq_order(backend):
     """Same-cycle deliveries dispatch in ``(src, seq)`` key order even
-    when pushed shuffled — the canonical arrival order sharding relies
-    on."""
+    when pushed shuffled — the canonical arrival order the 512-CPU golden
+    fingerprints depend on."""
     sim = make_sim(backend)
     keys = [(2, 0), (0, 1), (1, 0), (0, 0), (1, 7), (2, 3)]
     out = []
@@ -158,18 +158,15 @@ def test_run_until_inclusive_boundary(backend):
     assert out == ["early", "late"]
 
 
-def test_pending_events_and_next_event_time(backend):
+def test_pending_events(backend):
     sim = make_sim(backend)
     assert sim.pending_events() == 0
-    assert sim.next_event_time() is None
     sim.schedule(0, lambda: None)
-    assert sim.next_event_time() == 0
     sim.schedule(7, lambda: None)
     sim._push_delivery(7, (0, 0), ((lambda: None), ()))
     assert sim.pending_events() == 3
     sim.run()
     assert sim.pending_events() == 0
-    assert sim.next_event_time() is None
     assert sim.events_dispatched == 3
 
 
@@ -305,6 +302,48 @@ def test_deliver_of_a_bogus_kind_raises_the_same_error(backend):
     if backend == "accel" and model_core() is not None:
         # no Python frame of Network._deliver: the C path raised
         assert all(entry.name != "_deliver" for entry in err.traceback)
+
+
+#: fabric attributes ``Network.__init__`` always sets and ``send`` reads
+SEND_ATTRIBUTES = ("config", "delay_injector", "reorder_injector",
+                   "_send_hooks", "stats", "_route_cache", "_inj_seq",
+                   "_deliver")
+
+
+@pytest.mark.parametrize("name", SEND_ATTRIBUTES)
+def test_send_surfaces_a_failed_attribute_read(backend, name):
+    """A read of a fabric attribute that raises is an error on send, the
+    same one on every backend.  The compiled ``send`` propagates it
+    rather than treating it as a precondition miss: handing the message
+    to its Python twin would re-read the attribute, succeed, and hide
+    the error."""
+    from repro.config.parameters import SystemConfig
+    from repro.core.machine import Machine
+    from repro.network.message import Message, MessageKind
+    from repro.sim.backends.model import model_core
+
+    machine = Machine(SystemConfig.table1(4, kernel_backend=backend))
+    net = machine.net
+    net._route(0, 1)                  # warm: no cold-route fallback
+    value = getattr(net, name)
+    reads = []
+
+    def read_once_fails(self):
+        reads.append(name)
+        if len(reads) == 1:
+            raise RuntimeError(f"{name} read failed")
+        return value
+
+    # a class-level property shadows the instance attribute
+    net.__class__ = type("FlakyNetwork", (type(net),),
+                         {name: property(read_once_fails)})
+    msg = Message(MessageKind.GET_S, 0, 1, addr=0)
+    with pytest.raises(RuntimeError, match=f"{name} read failed") as err:
+        net.send(msg)
+    if backend == "accel" and model_core() is not None:
+        # no Python frame of Network.send: the C path raised
+        assert all(entry.name not in ("send", "_route")
+                   for entry in err.traceback)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@
 
 The exported document must be loadable by chrome://tracing / Perfetto:
 serializable JSON, exactly one ``thread_name`` metadata record per
-track, every span/instant on a registered tid, and strictly positive
-durations (the viewer drops ``dur == 0`` complete events).
+track, every span/instant on a registered tid, every event on one
+process, and strictly positive durations (the viewer drops ``dur == 0``
+complete events).  The tracer observes logical packets, so multicast
+delivery batching must not show in the export.
 """
 
 import json
 
-from repro.config.parameters import SystemConfig
+from repro.config.parameters import NetworkConfig, SystemConfig
 from repro.core.machine import Machine
+from repro.network.faults import DelayInjector
 from repro.trace import TraceRecorder
 
 
@@ -77,3 +80,55 @@ def test_span_args_survive_the_round_trip(tmp_path):
              if e["ph"] == "X" and e["name"] == "load"]
     assert loads and all(e["args"]["addr"].startswith("0x")
                          for e in loads)
+
+
+def test_export_is_a_single_process():
+    """Every event sits on pid 1 and no process_name metadata is
+    emitted: one machine renders as one Chrome process."""
+    events = traced_run().to_chrome_trace()["traceEvents"]
+    assert {e["pid"] for e in events} == {1}
+    assert not any(e["ph"] == "M" and e["name"] == "process_name"
+                   for e in events)
+
+
+def multicast_trace(per_packet):
+    """An update fan-out (3 sharers) with hardware multicast on; the
+    inert zero-delay injector forces the per-packet ``send`` fallback
+    without changing any delivery time."""
+    cfg = SystemConfig.table1(
+        8, network=NetworkConfig(multicast_updates=True))
+    machine = Machine(cfg)
+    tracer = TraceRecorder.attach(machine)
+    if per_packet:
+        DelayInjector.install(machine, seed=0, max_extra_cycles=0)
+    var = machine.alloc("v", home_node=0)
+
+    def loader(proc):
+        yield from proc.load(var.addr)
+
+    machine.run_threads(loader, cpus=[2, 4, 6])
+
+    def pusher(proc):
+        yield from proc.amo_fetchadd(var.addr, 1)
+
+    machine.run_threads(pusher, cpus=[0])
+    return tracer, machine
+
+
+def test_multicast_wave_trace_matches_per_packet_fallback():
+    """Grouped-wave multicast delivery and the fault-injection
+    per-packet fallback must produce the identical Chrome trace: the
+    tracer observes logical packets, not delivery batching."""
+    wave_tracer, wave_machine = multicast_trace(per_packet=False)
+    pkt_tracer, pkt_machine = multicast_trace(per_packet=True)
+    assert wave_machine.last_completion_time == \
+        pkt_machine.last_completion_time
+    wave_doc = wave_tracer.to_chrome_trace()
+    pkt_doc = pkt_tracer.to_chrome_trace()
+    assert wave_doc == pkt_doc
+    names = {e["name"] for e in wave_doc["traceEvents"]
+             if e["ph"] == "i"}
+    assert "word_update" in names
+    # round-trips through JSON byte-identically
+    assert json.dumps(wave_doc, sort_keys=True) == \
+        json.dumps(pkt_doc, sort_keys=True)

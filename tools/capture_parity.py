@@ -28,8 +28,7 @@ import json
 from pathlib import Path
 
 from repro.config.mechanism import Mechanism
-from repro.harness.parity import (SHARD_EXEMPT_KEYS, capture_all,
-                                  diff_documents)
+from repro.harness.parity import capture_all, diff_documents
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / \
     "tests" / "integration" / "golden"
@@ -54,30 +53,21 @@ def main(argv=None) -> int:
     parser.add_argument("--warm", action="store_true",
                         help="run through the snapshot warm-start path "
                              "(proves restored == fresh when verifying)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="partition every run across N worker "
-                             "processes (repro.shard); with --verify, "
-                             "proves sharded execution reproduces the "
-                             "single-process goldens (events_dispatched "
-                             "exempt — it counts host-side events)")
     parser.add_argument("--metrics", action="store_true",
                         help="attach the observability layer to every "
                              "run; verify-only — proves metrics capture "
                              "is timing-neutral against the unmetered "
-                             "goldens (composes with --shards)")
+                             "goldens")
     parser.add_argument("--backend", default=None,
                         help="event-kernel backend (repro.sim.backends) "
                              "to run on; with --verify, proves the "
                              "backend reproduces the reference goldens "
-                             "byte-identically (composes with --warm, "
-                             "--shards and --metrics)")
+                             "byte-identically (composes with --warm "
+                             "and --metrics)")
     args = parser.parse_args(argv)
 
     out = Path(args.out) if args.out else \
         GOLDEN_DIR / f"parity_{args.cpus}.json"
-    if args.shards > 1 and not args.verify:
-        parser.error("--shards is verify-only: goldens are captured "
-                     "single-process (the single source of truth)")
     if args.metrics and not args.verify:
         parser.error("--metrics is verify-only: goldens are captured "
                      "unmetered (metrics must not move them)")
@@ -103,7 +93,7 @@ def main(argv=None) -> int:
 
     doc = capture_all(n_processors=args.cpus, mechanisms=mechanisms,
                       warm_cache=warm_cache,
-                      barrier_only=args.barrier_only, shards=args.shards,
+                      barrier_only=args.barrier_only,
                       metrics=args.metrics, backend=args.backend)
 
     if args.verify:
@@ -113,10 +103,8 @@ def main(argv=None) -> int:
             golden["fingerprints"] = {
                 m.value: golden["fingerprints"][m.value]
                 for m in mechanisms}
-        ignore = SHARD_EXEMPT_KEYS if args.shards > 1 else frozenset()
-        drift = diff_documents(golden, doc, ignore=ignore)
-        label = "warm-start" if args.warm else \
-            f"{args.shards}-shard" if args.shards > 1 else "fresh"
+        drift = diff_documents(golden, doc)
+        label = "warm-start" if args.warm else "fresh"
         if args.metrics:
             label = f"metered {label}"
         if args.backend is not None:
