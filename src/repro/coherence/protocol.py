@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from repro.coherence.directory import Directory, DirState
 from repro.mem.address import line_base, word_base
 from repro.network.message import Message, MessageKind
-from repro.sim.backends.wave import wave_builder, wave_expander
+from repro.sim.backends.wave import expand_wave, wave_builder
 from repro.sim.primitives import Signal, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,7 +57,7 @@ class HomeEngine:
                  "writebacks_served", "invalidations_sent",
                  "interventions_sent", "word_updates_pushed", "_t_dir",
                  "_name_get_s", "_name_get_x", "_name_wb", "_name_readfill",
-                 "_expand_wave", "_build_wave")
+                 "_build_wave")
 
     def __init__(self, hub: "Hub") -> None:
         self.hub = hub
@@ -83,10 +83,6 @@ class HomeEngine:
         self._name_get_x = f"getX@{self.node}"
         self._name_wb = f"wb@{self.node}"
         self._name_readfill = f"readfill@{self.node}"
-        # fan-out expansion: numpy batch on large accel machines, the
-        # reference bit-peel everywhere else (identical order either way)
-        self._expand_wave = wave_expander(self.config.kernel_backend,
-                                          self.config.n_processors)
         # wave construction: the whole message batch is allocated in C
         # on the accel backend (same slots, ids, and order either way)
         self._build_wave = wave_builder(self.config.kernel_backend)
@@ -218,7 +214,7 @@ class HomeEngine:
                     latch = AckLatch(fanout)
                     wave = self._build_wave(
                         MessageKind.INVALIDATE, self.node, msg.addr, None,
-                        latch, self._expand_wave(
+                        latch, expand_wave(
                             inv_mask, self.config.cpus_per_node))
                     yield self.hub.egress_wave(wave).wait()
                     yield latch.signal.wait()
@@ -390,7 +386,7 @@ class HomeEngine:
                     word = word_base(addr)
                     updates = self._build_wave(
                         MessageKind.WORD_UPDATE, self.node, word, value,
-                        None, self._expand_wave(
+                        None, expand_wave(
                             ent.sharer_mask, self.config.cpus_per_node))
                     if self.config.network.multicast_updates:
                         # hardware multicast (footnote 2): the routers
@@ -406,7 +402,7 @@ class HomeEngine:
                 latch = AckLatch(fanout)
                 wave = self._build_wave(
                     MessageKind.INVALIDATE, self.node, addr, None, latch,
-                    self._expand_wave(
+                    expand_wave(
                         ent.sharer_mask, self.config.cpus_per_node))
                 yield self.hub.egress_wave(wave).wait()
                 yield latch.signal.wait()

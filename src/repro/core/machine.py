@@ -130,10 +130,6 @@ class _EgressWave:
 class Hub:
     """One node's hub chip (Figure 2): MC, directory, NI, AMU, AM endpoint."""
 
-    #: egress-wave class; the accel backend substitutes a subclass whose
-    #: per-packet callbacks are compiled (repro.sim.backends.model)
-    _wave_cls = _EgressWave
-
     #: cache-controller class override; None means the reference
     #: CacheController (set on the accel hub subclass so Processor picks
     #: up the compiled-coroutine controller without an import cycle)
@@ -227,7 +223,7 @@ class Hub:
         else:
             occ = self._t_egress_ctrl.delay
         done = Signal(name=f"egress-wave[{self.node}]")
-        self._wave_cls(self, messages, occ, done).start()
+        _EgressWave(self, messages, occ, done).start()
         return done
 
     # ------------------------------------------------------------------

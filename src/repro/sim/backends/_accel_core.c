@@ -30,11 +30,10 @@
  * *and* its object lifetimes.  Where the Python coding drops a
  * back-reference so that per-event objects die by refcount, the C
  * path drops the same reference at the same point: a finished or
- * failed process's ``_rn`` (proc_finish / proc_fail), a delivered
- * reply's ``reply_to`` (deliver_fast), a spent egress wave's ``_rn``,
- * ``_expiry`` and ``messages`` (mod_wave_expire).  Only machine
- * structure may be cyclic (docs/performance.md, "Garbage-free hot
- * path"); tests/sim/test_garbage_free.py checks both backends.
+ * failed process's ``_rn`` (proc_finish / proc_fail) and a delivered
+ * reply's ``reply_to`` (deliver_fast).  Only machine structure may be
+ * cyclic (docs/performance.md, "Garbage-free hot path");
+ * tests/sim/test_garbage_free.py checks both backends.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -63,18 +62,17 @@ static PyObject *s_done, *s_gen, *s_stack, *s_rn, *s_finish, *s_fail,
 
 /* ---- model fast-path state (armed lazily via arm_model) ---- */
 
-/* Types and callables of the model layer (fabric / coherence / egress
- * waves).  They live in modules that import this one, so they cannot be
+/* Types and callables of the model layer (fabric / coherence).  They
+ * live in modules that import this one, so they cannot be
  * resolved at module init; ``arm_model`` binds them on first accel
  * machine construction (see repro.sim.backends.model). */
 static int g_model_fast = 0;
 static PyTypeObject *g_MsgType, *g_HubType, *g_CtrlType, *g_CacheType,
-    *g_LineType, *g_LineMetaType, *g_WaveType, *g_StatsType;
+    *g_LineType, *g_LineMetaType, *g_StatsType;
 static PyObject *g_WordUpdateKind, *g_InvalidState, *g_MsgIds;
-static PyObject *g_NetSend, *g_NetDeliver, *g_HubReceive,
-    *g_WaveGrantedPy, *g_WaveExpirePy;
+static PyObject *g_NetSend, *g_NetDeliver, *g_HubReceive;
 /* Python twins of the compiled model coroutines (fallback targets) */
-static PyObject *g_EgressSendPy, *g_CtrlLoadPy, *g_CtrlSpinPy, *g_CtrlInvPy;
+static PyObject *g_EgressSendPy, *g_CtrlLoadPy, *g_CtrlInvPy;
 static PyObject *g_ServeGetSPy, *g_FinishCleanPy;
 static PyObject *g_InvAckKind, *g_InvAckBytes;
 static PyObject *g_DataSKind, *g_DataSBytes;
@@ -92,7 +90,7 @@ static PyObject *s_sim, *s_send, *s_stats, *s_config, *s_handlers,
     *s_inj_seq, *s_route_cache, *s_deliver, *s_messages, *s_bytes,
     *s_hop_bytes, *s_local_messages, *s_retransmits, *s_trace_enabled,
     *s_router_contention, *s_link_contention, *s_is_reply,
-    *s_packet_bytes, *s_try_fire, *s_fire, *s_pulse, *s_line_changed,
+    *s_packet_bytes, *s_try_fire, *s_pulse, *s_line_changed,
     *s_updates, *s_apply_word_update, *s_net, *s_carries_line,
     *s_load_miss, *s_fill_l1, *s_exclusive, *s_poisoned,
     *s_entry, *s_read_line, *s_spawn, *s_line_bytes, *s_get_s_owned;
@@ -135,14 +133,12 @@ static Py_ssize_t off_h_routes, off_h_controllers, off_h_net;
 static Py_ssize_t off_h_egress, off_h_t_update, off_h_t_ctrl, off_h_t_line;
 static Py_ssize_t off_c_l1, off_c_l2, off_c_resv, off_c_meta, off_c_inflight;
 static Py_ssize_t off_c_hub, off_c_sim, off_c_node, off_c_cpu,
-    off_c_t_l1, off_c_t_l2, off_c_spinw;
+    off_c_t_l1, off_c_t_l2;
 static Py_ssize_t off_sc_sets, off_sc_nsets, off_sc_lb, off_sc_wu;
 static Py_ssize_t off_sc_stamp, off_sc_hits, off_sc_misses, off_sc_inval;
 static Py_ssize_t off_cl_state, off_cl_words, off_cl_lastuse;
-static Py_ssize_t off_lm_version, off_lm_gate, off_lm_gatewait;
+static Py_ssize_t off_lm_version, off_lm_gate;
 static Py_ssize_t off_r_acquire;
-static Py_ssize_t off_ew_hub, off_ew_sim, off_ew_res, off_ew_msgs,
-    off_ew_occ, off_ew_index, off_ew_done, off_ew_rn, off_ew_expiry;
 static Py_ssize_t off_r_busy_cycles;
 static Py_ssize_t off_he_dram, off_he_backing, off_he_dir, off_he_sim,
     off_he_hub, off_he_node, off_he_config, off_he_gets, off_he_tdir,
@@ -498,8 +494,6 @@ waiter_rn(PyObject *waiter)
     PyObject *rn = NULL;
     if (g_fast && Py_IS_TYPE(waiter, g_ProcessType))
         rn = SLOT(waiter, off_p_rn);
-    else if (g_model_fast && PyObject_TypeCheck(waiter, g_WaveType))
-        rn = SLOT(waiter, off_ew_rn);
     return rn != NULL ? Py_NewRef(rn) : PyObject_GetAttr(waiter, s_rn);
 }
 
@@ -1788,7 +1782,7 @@ static PyTypeObject Sim_Type = {
 };
 
 /* ------------------------------------------------------------------ */
-/* model fast paths (fabric send/deliver, word updates, egress waves)  */
+/* model fast paths (fabric send/deliver, word updates, wave builds)   */
 /* ------------------------------------------------------------------ */
 
 /* non-raising exact-int extraction; returns 0 on success */
@@ -2103,14 +2097,38 @@ reply_fire(SimObject *sim, PyObject *reply_to, PyObject *msg)
 }
 
 /* Network._deliver fast path.  Returns 0 handled, 1 fall back to the
- * Python coding (nothing mutated), -1 error. */
+ * Python coding (nothing mutated), -1 error.
+ *
+ * Like send_fast, only genuine precondition misses fall back.  A failed
+ * read of ``sim`` on the reply path or of ``_handlers`` on the request
+ * path propagates, because the Python coding reads them there too; a
+ * failed ``sim`` read on the request path falls back, because there
+ * the Python coding never reads it. */
 static int
 deliver_fast(PyObject *net, PyObject *msg)
 {
     if (!g_model_fast || !Py_IS_TYPE(msg, g_MsgType))
         return 1;
+    PyObject *kind = SLOT(msg, off_m_kind);
+    PyObject *reply_to = SLOT(msg, off_m_reply_to);
+    if (kind == NULL || reply_to == NULL)
+        return 1;
+    int reply = 0;
+    if (reply_to != Py_None) {
+        /* a kind without ``is_reply`` raises here exactly as in the
+         * Python coding; it is an error, not a precondition miss */
+        PyObject *is_reply = PyObject_GetAttr(kind, s_is_reply);
+        if (is_reply == NULL)
+            return -1;
+        reply = PyObject_IsTrue(is_reply);
+        Py_DECREF(is_reply);
+        if (reply < 0)
+            return -1;
+    }
     PyObject *sim_obj = PyObject_GetAttr(net, s_sim);
     if (sim_obj == NULL) {
+        if (reply)
+            return -1;
         PyErr_Clear();
         return 1;
     }
@@ -2120,32 +2138,15 @@ deliver_fast(PyObject *net, PyObject *msg)
     }
     SimObject *sim = (SimObject *)sim_obj;
     int rc = -1;
-    PyObject *kind = SLOT(msg, off_m_kind);
-    PyObject *reply_to = SLOT(msg, off_m_reply_to);
-    if (kind == NULL || reply_to == NULL) {
-        rc = 1;
+    if (reply) {
+        /* clear the delivered reply's reply_to before the fire: the
+         * signal's value is the reply, and the back-reference would
+         * make the pair a cycle (see Network._deliver) */
+        Py_INCREF(reply_to);
+        slot_store(msg, off_m_reply_to, Py_NewRef(Py_None));
+        rc = reply_fire(sim, reply_to, msg);
+        Py_DECREF(reply_to);
         goto done;
-    }
-    if (reply_to != Py_None) {
-        /* a kind without ``is_reply`` raises here exactly as in the
-         * Python coding; it is an error, not a precondition miss */
-        PyObject *is_reply = PyObject_GetAttr(kind, s_is_reply);
-        if (is_reply == NULL)
-            goto done;
-        int reply = PyObject_IsTrue(is_reply);
-        Py_DECREF(is_reply);
-        if (reply < 0)
-            goto done;
-        if (reply) {
-            /* clear the delivered reply's reply_to before the fire: the
-             * signal's value is the reply, and the back-reference would
-             * make the pair a cycle (see Network._deliver) */
-            Py_INCREF(reply_to);
-            slot_store(msg, off_m_reply_to, Py_NewRef(Py_None));
-            rc = reply_fire(sim, reply_to, msg);
-            Py_DECREF(reply_to);
-            goto done;
-        }
     }
     /* request path: handler = self._handlers[msg.dst_node] */
     {
@@ -2155,11 +2156,8 @@ deliver_fast(PyObject *net, PyObject *msg)
             goto done;
         }
         PyObject *handlers = PyObject_GetAttr(net, s_handlers);
-        if (handlers == NULL) {
-            PyErr_Clear();
-            rc = 1;
+        if (handlers == NULL)
             goto done;
-        }
         if (!PyList_CheckExact(handlers) || dst < 0
                 || dst >= PyList_GET_SIZE(handlers)) {
             Py_DECREF(handlers);
@@ -2226,10 +2224,8 @@ send_fast(PyObject *net, PyObject *msg)
     if (!g_model_fast || !Py_IS_TYPE(msg, g_MsgType))
         return 1;
     PyObject *sim_obj = PyObject_GetAttr(net, s_sim);
-    if (sim_obj == NULL) {
-        PyErr_Clear();
-        return 1;
-    }
+    if (sim_obj == NULL)
+        return -1;
     if (!Py_IS_TYPE(sim_obj, &Sim_Type)) {
         Py_DECREF(sim_obj);
         return 1;
@@ -2493,194 +2489,6 @@ mod_make_deliver(PyObject *mod, PyObject *net)
     return PyCFunction_New(&net_deliver_def, net);
 }
 
-/* _EgressWave._granted / ._expire replicas.  These are module-level
- * functions; AccelEgressWave plants ``(wave_granted, (self,))`` /
- * ``(wave_expire, (self,))`` event tuples so each wave packet costs one
- * C callback instead of a Python frame. */
-
-static PyObject *
-mod_wave_granted(PyObject *mod, PyObject *wave)
-{
-    (void)mod;
-    if (g_model_fast && PyObject_TypeCheck(wave, g_WaveType)) {
-        PyObject *sim_obj = SLOT(wave, off_ew_sim);
-        PyObject *expiry = SLOT(wave, off_ew_expiry);
-        long long occ;
-        if (sim_obj != NULL && expiry != NULL
-                && Py_IS_TYPE(sim_obj, &Sim_Type)
-                && ll_of(SLOT(wave, off_ew_occ), &occ) == 0) {
-            SimObject *sim = (SimObject *)sim_obj;
-            if (push_future(sim, sim->now + occ, expiry) < 0)
-                return NULL;
-            Py_RETURN_NONE;
-        }
-    }
-    return PyObject_CallOneArg(g_WaveGrantedPy, wave);
-}
-
-static PyObject *
-mod_wave_expire(PyObject *mod, PyObject *wave)
-{
-    (void)mod;
-    if (!g_model_fast || !PyObject_TypeCheck(wave, g_WaveType))
-        return PyObject_CallOneArg(g_WaveExpirePy, wave);
-    PyObject *sim_obj = SLOT(wave, off_ew_sim);
-    PyObject *res = SLOT(wave, off_ew_res);
-    PyObject *msgs = SLOT(wave, off_ew_msgs);
-    PyObject *done = SLOT(wave, off_ew_done);
-    PyObject *expiry = SLOT(wave, off_ew_expiry);
-    PyObject *hub = SLOT(wave, off_ew_hub);
-    long long occ, idx, busy_cyc, acq;
-    if (sim_obj == NULL || res == NULL || msgs == NULL || done == NULL
-            || expiry == NULL || hub == NULL
-            || !Py_IS_TYPE(sim_obj, &Sim_Type)
-            || !g_fast || !Py_IS_TYPE(res, g_ResourceType)
-            || !PyList_CheckExact(msgs)
-            || !Py_IS_TYPE(done, g_SignalType)
-            || !PyObject_TypeCheck(hub, g_HubType)
-            || ll_of(SLOT(wave, off_ew_occ), &occ) < 0
-            || ll_of(SLOT(wave, off_ew_index), &idx) < 0
-            || ll_of(SLOT(res, off_r_busy_cycles), &busy_cyc) < 0
-            || ll_of(SLOT(res, off_r_acquired), &acq) < 0
-            || idx < 0 || idx >= PyList_GET_SIZE(msgs))
-        return PyObject_CallOneArg(g_WaveExpirePy, wave);
-    PyObject *queue = SLOT(res, off_r_queue);
-    PyObject *grants = SLOT(res, off_r_grants);
-    if (queue == NULL || grants == NULL)
-        return PyObject_CallOneArg(g_WaveExpirePy, wave);
-    Py_ssize_t qlen = PyObject_Length(queue);
-    if (qlen < 0) {
-        PyErr_Clear();
-        return PyObject_CallOneArg(g_WaveExpirePy, wave);
-    }
-    SimObject *sim = (SimObject *)sim_obj;
-    long long now = sim->now;
-    /* --- commit --- */
-    PyObject *nbc = PyLong_FromLongLong(busy_cyc + (now - acq));
-    if (nbc == NULL)
-        return NULL;
-    slot_store(res, off_r_busy_cycles, nbc);
-    PyObject *msg = Py_NewRef(PyList_GET_ITEM(msgs, idx));
-    PyObject *nidx = PyLong_FromLongLong(idx + 1);
-    if (nidx == NULL) {
-        Py_DECREF(msg);
-        return NULL;
-    }
-    slot_store(wave, off_ew_index, nidx);
-    int more = (idx + 1) < PyList_GET_SIZE(msgs);
-    if (qlen > 0) {
-        /* grant the port to the queued process first; with packets
-         * left, rejoin at the tail */
-        PyObject *waiter = PyObject_CallMethodNoArgs(queue, s_popleft);
-        if (waiter == NULL) {
-            Py_DECREF(msg);
-            return NULL;
-        }
-        PyObject *ng = PyNumber_Add(grants, g_one);
-        PyObject *acq_now = PyLong_FromLongLong(now);
-        if (ng == NULL || acq_now == NULL) {
-            Py_XDECREF(ng);
-            Py_XDECREF(acq_now);
-            Py_DECREF(waiter);
-            Py_DECREF(msg);
-            return NULL;
-        }
-        slot_store(res, off_r_grants, ng);
-        slot_store(res, off_r_acquired, acq_now);
-        PyObject *rn = waiter_rn(waiter);
-        if (rn == NULL) {
-            Py_DECREF(waiter);
-            Py_DECREF(msg);
-            return NULL;
-        }
-        int rr = ring_push(sim->ring, rn);
-        Py_DECREF(rn);
-        if (rr < 0) {
-            Py_DECREF(waiter);
-            Py_DECREF(msg);
-            return NULL;
-        }
-        Py_DECREF(waiter);
-        if (more) {
-            PyObject *ap = PyObject_CallMethodOneArg(queue, s_append,
-                                                     wave);
-            if (ap == NULL) {
-                Py_DECREF(msg);
-                return NULL;
-            }
-            Py_DECREF(ap);
-        }
-    }
-    else if (more) {
-        /* immediate self re-grant with nobody waiting */
-        PyObject *ng = PyNumber_Add(grants, g_one);
-        PyObject *acq_now = PyLong_FromLongLong(now);
-        if (ng == NULL || acq_now == NULL) {
-            Py_XDECREF(ng);
-            Py_XDECREF(acq_now);
-            Py_DECREF(msg);
-            return NULL;
-        }
-        slot_store(res, off_r_grants, ng);
-        slot_store(res, off_r_acquired, acq_now);
-        if (push_future(sim, now + occ, expiry) < 0) {
-            Py_DECREF(msg);
-            return NULL;
-        }
-    }
-    else {
-        slot_store(res, off_r_busy, Py_NewRef(Py_False));
-    }
-    /* self.hub.net.send(msg) — fetched generically per call so that
-     * monkeypatched senders (fault injection) stay honored */
-    PyObject *net = Py_XNewRef(SLOT(hub, off_h_net));
-    if (net == NULL) {
-        net = PyObject_GetAttr(hub, s_net);
-        if (net == NULL) {
-            Py_DECREF(msg);
-            return NULL;
-        }
-    }
-    PyObject *sender = PyObject_GetAttr(net, s_send);
-    Py_DECREF(net);
-    if (sender == NULL) {
-        Py_DECREF(msg);
-        return NULL;
-    }
-    PyObject *sres = PyObject_CallOneArg(sender, msg);
-    Py_DECREF(sender);
-    Py_DECREF(msg);
-    if (sres == NULL)
-        return NULL;
-    Py_DECREF(sres);
-    if (!more) {
-        int fired = slot_truth(SLOT(done, off_s_fired));
-        if (fired < 0)
-            return NULL;
-        PyObject *waiters = SLOT(done, off_s_waiters);
-        if (!fired && waiters != NULL && PyList_CheckExact(waiters)) {
-            if (signal_fire_commit(sim, done, Py_None) < 0)
-                return NULL;
-        }
-        else {
-            /* degenerate (already fired / odd waiter list): the
-             * generic call raises exactly like the Python coding */
-            PyObject *fr = PyObject_CallMethodOneArg(done, s_fire,
-                                                     sim_obj);
-            if (fr == NULL)
-                return NULL;
-            Py_DECREF(fr);
-        }
-        /* the spent wave drops its event tuples (each points back at
-         * it) and the sent train, so it dies by refcount; the dispatch
-         * loop still owns the running expiry event */
-        slot_store(wave, off_ew_rn, Py_NewRef(Py_None));
-        slot_store(wave, off_ew_expiry, Py_NewRef(Py_None));
-        slot_store(wave, off_ew_msgs, Py_NewRef(Py_None));
-    }
-    Py_RETURN_NONE;
-}
-
 /* build an egress wave's message list in one pass: Message.__init__
  * replica per (cpu, node) pair, ids drawn from the shared counter */
 static PyObject *
@@ -2764,7 +2572,7 @@ fail:
 /* compiled protocol coroutines                                        */
 /*                                                                     */
 /* The model hot path is a chain of tiny generators: Hub.egress_send   */
-/* and CacheController.load / spin_until / _do_invalidate.  Each       */
+/* and CacheController.load / _do_invalidate.  Each                  */
 /* becomes a C state machine speaking the full generator protocol      */
 /* (tp_iternext + am_send + send/throw/close), so the kernel's         */
 /* trampoline, Python ``yield from`` and ``sim.spawn`` all drive it    */
@@ -3125,7 +2933,6 @@ msg_new(PyObject *kind, PyObject *src, PyObject *dst, PyObject *addr,
 enum {
     CORO_EGRESS = 1,
     CORO_LOAD,
-    CORO_SPIN,
     CORO_INV,
     CORO_GETS,
     CORO_RF,
@@ -3134,7 +2941,6 @@ enum {
 /* per-port states; 0 is always "not started" */
 enum { EG_ACQ = 1, EG_OCC = 2 };
 enum { LD_L1 = 1, LD_L2 = 2, LD_MISS = 3 };
-enum { SP_LOAD = 1, SP_GATE = 2 };
 enum { IV_L2 = 1, IV_ACK = 2 };
 enum { GS_ACQ = 1, GS_DIR = 2, GS_OWNED = 3 };
 enum { RF_ACQ = 1, RF_OCC = 2, RF_RES = 3, RF_SEND = 4 };
@@ -3146,7 +2952,7 @@ typedef struct {
     int port;
     int state;
     long long ll;                 /* the port's address operand */
-    PyObject *a, *b, *c, *d, *e, *f;
+    PyObject *a, *b, *c, *d, *e;
     PyObject *sub;                /* active delegation target */
 } CoroObject;
 
@@ -3167,7 +2973,7 @@ coro_alloc(int port, PyObject *a, PyObject *b, PyObject *c, long long ll)
     co->a = Py_XNewRef(a);
     co->b = Py_XNewRef(b);
     co->c = Py_XNewRef(c);
-    co->d = co->e = co->f = co->sub = NULL;
+    co->d = co->e = co->sub = NULL;
     PyObject_GC_Track((PyObject *)co);
     return (PyObject *)co;
 }
@@ -3202,17 +3008,6 @@ load_coro_or_py(PyObject *ctrl, PyObject *addr_obj)
         }
     }
     return PyObject_CallFunctionObjArgs(g_CtrlLoadPy, ctrl, addr_obj, NULL);
-}
-
-static PyObject *
-spin_coro_or_py(PyObject *ctrl, PyObject *addr_obj, PyObject *pred)
-{
-    long long a;
-    if (g_model_fast && PyObject_TypeCheck(ctrl, g_CtrlType)
-            && ll_of(addr_obj, &a) == 0 && a >= 0)
-        return coro_alloc(CORO_SPIN, ctrl, addr_obj, pred, a);
-    return PyObject_CallFunctionObjArgs(g_CtrlSpinPy, ctrl, addr_obj,
-                                        pred, NULL);
 }
 
 static PyObject *
@@ -3494,144 +3289,6 @@ coro_step(CoroObject *co, PyObject *arg, PyObject *exc, PyObject **result)
             return PYGEN_RETURN;
         }
         break;
-    }
-    /* --------------- CacheController.spin_until --------------- */
-    case CORO_SPIN: {
-        PyObject *ctrl = co->a, *addr_obj = co->b;
-        PyObject *value = NULL;
-        if (co->state == 0) {
-            if (exc != NULL)
-                goto reraise_done;
-            /* meta = self._line_meta(addr) (get-or-create, so the
-             * generic call below is safe to repeat) */
-            long long line = co->ll - co->ll % g_line_bytes;
-            PyObject *meta = NULL;
-            PyObject *meta_map = SLOT(ctrl, off_c_meta);
-            PyObject *line_obj = PyLong_FromLongLong(line);
-            if (line_obj == NULL)
-                goto error_done;
-            if (meta_map != NULL && PyDict_CheckExact(meta_map)) {
-                meta = PyDict_GetItemWithError(meta_map, line_obj);
-                if (meta == NULL && PyErr_Occurred()) {
-                    Py_DECREF(line_obj);
-                    goto error_done;
-                }
-                Py_XINCREF(meta);
-            }
-            Py_DECREF(line_obj);
-            if (meta == NULL) {
-                meta = PyObject_CallMethod(ctrl, "_line_meta", "O",
-                                           addr_obj);
-                if (meta == NULL)
-                    goto error_done;
-            }
-            if (!Py_IS_TYPE(meta, g_LineMetaType)
-                    || SLOT(meta, off_lm_gatewait) == NULL
-                    || SLOT(meta, off_lm_version) == NULL) {
-                Py_DECREF(meta);
-                if (coro_delegate_py(co, g_CtrlSpinPy, ctrl, addr_obj,
-                                     co->c) < 0)
-                    goto error_done;
-                return coro_step(co, Py_None, NULL, result);
-            }
-            Py_XSETREF(co->d, meta);
-            Py_XSETREF(co->e, Py_NewRef(SLOT(meta, off_lm_gatewait)));
-            goto spin_next_load;
-        }
-        if (co->state == SP_LOAD) {
-            int rr = exc != NULL ? sub_throw(co, exc, result)
-                                 : sub_send(co, arg, result);
-            if (rr < 0)
-                goto error_done;
-            if (rr == 1)
-                return PYGEN_NEXT;
-            value = *result;
-            *result = NULL;
-            goto spin_check;
-        }
-        if (co->state == SP_GATE) {
-            if (exc != NULL)
-                goto reraise_done;
-            if (inc_counter(ctrl, off_c_spinw, "spin_wakeups") < 0)
-                goto error_done;
-            goto spin_next_load;
-        }
-        break;
-
-    spin_next_load:
-        {
-            PyObject *v = SLOT(co->d, off_lm_version);
-            if (v == NULL) {
-                v = PyObject_GetAttrString(co->d, "version");
-                if (v == NULL)
-                    goto error_done;
-                Py_XSETREF(co->f, v);
-            }
-            else {
-                Py_XSETREF(co->f, Py_NewRef(v));
-            }
-            PyObject *sub = load_coro_or_py(ctrl, addr_obj);
-            if (sub == NULL)
-                goto error_done;
-            Py_XSETREF(co->sub, sub);
-            co->state = SP_LOAD;
-            int rr = sub_send(co, Py_None, result);
-            if (rr < 0)
-                goto error_done;
-            if (rr == 1)
-                return PYGEN_NEXT;
-            value = *result;
-            *result = NULL;
-            /* fall through: load returned without yielding */
-        }
-    spin_check:
-        {
-            PyObject *ok = PyObject_CallOneArg(co->c, value);
-            if (ok == NULL) {
-                Py_DECREF(value);
-                goto error_done;
-            }
-            int truth = PyObject_IsTrue(ok);
-            Py_DECREF(ok);
-            if (truth < 0) {
-                Py_DECREF(value);
-                goto error_done;
-            }
-            if (truth) {
-                co->state = ST_DONE;
-                *result = value;
-                return PYGEN_RETURN;
-            }
-            Py_DECREF(value);
-            /* the line changed under the read: re-check immediately
-             * instead of parking on a pulse that already happened */
-            PyObject *cur = SLOT(co->d, off_lm_version);
-            long long c1, c2;
-            int changed;
-            if (cur != NULL && ll_of(cur, &c1) == 0
-                    && ll_of(co->f, &c2) == 0) {
-                changed = c1 != c2;
-            }
-            else {
-                if (cur == NULL) {
-                    cur = PyObject_GetAttrString(co->d, "version");
-                    if (cur == NULL)
-                        goto error_done;
-                    changed = PyObject_RichCompareBool(cur, co->f, Py_NE);
-                    Py_DECREF(cur);
-                }
-                else {
-                    changed = PyObject_RichCompareBool(cur, co->f, Py_NE);
-                }
-                if (changed < 0)
-                    goto error_done;
-            }
-            if (changed)
-                goto spin_next_load;
-            co->state = SP_GATE;
-            *result = Py_NewRef(co->e);
-            return PYGEN_NEXT;
-        }
     }
     /* ------------- CacheController._do_invalidate ------------- */
     case CORO_INV: {
@@ -4223,7 +3880,6 @@ coro_traverse(PyObject *self, visitproc visit, void *arg)
     Py_VISIT(co->c);
     Py_VISIT(co->d);
     Py_VISIT(co->e);
-    Py_VISIT(co->f);
     Py_VISIT(co->sub);
     return 0;
 }
@@ -4237,7 +3893,6 @@ coro_clear(PyObject *self)
     Py_CLEAR(co->c);
     Py_CLEAR(co->d);
     Py_CLEAR(co->e);
-    Py_CLEAR(co->f);
     Py_CLEAR(co->sub);
     return 0;
 }
@@ -4285,7 +3940,7 @@ static PyTypeObject Coro_Type = {
     .tp_iter = PyObject_SelfIter,
     .tp_iternext = coro_iternext,
     .tp_methods = coro_methods,
-    .tp_doc = "Compiled model coroutine (egress/load/spin/invalidate).",
+    .tp_doc = "Compiled model coroutine (egress/load/invalidate/GET_S).",
 };
 
 /* ---- module-level factories (what the Accel subclasses call) ---- */
@@ -4318,22 +3973,6 @@ mod_ctrl_load(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     return load_coro_or_py(args[0], args[1]);
-}
-
-static PyObject *
-mod_ctrl_spin_until(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)mod;
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "ctrl_spin_until expects (ctrl, addr, predicate)");
-        return NULL;
-    }
-    if (g_CtrlSpinPy == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "model paths not armed");
-        return NULL;
-    }
-    return spin_coro_or_py(args[0], args[1], args[2]);
 }
 
 static PyObject *
@@ -4426,7 +4065,6 @@ mod_arm_model(PyObject *mod, PyObject *spec)
     FETCH_TYPE(g_CacheType, "Cache");
     FETCH_TYPE(g_LineType, "CacheLine");
     FETCH_TYPE(g_LineMetaType, "LineMeta");
-    FETCH_TYPE(g_WaveType, "EgressWave");
     FETCH_TYPE(g_StatsType, "TrafficStats");
     FETCH_TYPE(g_HomeType, "HomeEngine");
     FETCH_TYPE(g_DirEntType, "DirectoryEntry");
@@ -4437,11 +4075,8 @@ mod_arm_model(PyObject *mod, PyObject *spec)
     FETCH(g_NetSend, "net_send");
     FETCH(g_NetDeliver, "net_deliver");
     FETCH(g_HubReceive, "hub_receive");
-    FETCH(g_WaveGrantedPy, "wave_granted");
-    FETCH(g_WaveExpirePy, "wave_expire");
     FETCH(g_EgressSendPy, "hub_egress_send");
     FETCH(g_CtrlLoadPy, "ctrl_load");
-    FETCH(g_CtrlSpinPy, "ctrl_spin_until");
     FETCH(g_CtrlInvPy, "ctrl_do_invalidate");
     FETCH(g_InvAckKind, "INV_ACK");
     FETCH(g_ServeGetSPy, "serve_get_s");
@@ -4509,7 +4144,6 @@ mod_arm_model(PyObject *mod, PyObject *spec)
     off_c_cpu = slot_off((PyObject *)g_CtrlType, "cpu_id");
     off_c_t_l1 = slot_off((PyObject *)g_CtrlType, "_t_l1");
     off_c_t_l2 = slot_off((PyObject *)g_CtrlType, "_t_l2");
-    off_c_spinw = slot_off((PyObject *)g_CtrlType, "spin_wakeups");
     off_sc_sets = slot_off((PyObject *)g_CacheType, "_sets");
     off_sc_nsets = slot_off((PyObject *)g_CacheType, "n_sets");
     off_sc_lb = slot_off((PyObject *)g_CacheType, "line_bytes");
@@ -4523,17 +4157,7 @@ mod_arm_model(PyObject *mod, PyObject *spec)
     off_cl_lastuse = slot_off((PyObject *)g_LineType, "last_use");
     off_lm_version = slot_off((PyObject *)g_LineMetaType, "version");
     off_lm_gate = slot_off((PyObject *)g_LineMetaType, "gate");
-    off_lm_gatewait = slot_off((PyObject *)g_LineMetaType, "gate_wait");
     off_r_acquire = slot_off((PyObject *)g_ResourceType, "_acquire");
-    off_ew_hub = slot_off((PyObject *)g_WaveType, "hub");
-    off_ew_sim = slot_off((PyObject *)g_WaveType, "sim");
-    off_ew_res = slot_off((PyObject *)g_WaveType, "res");
-    off_ew_msgs = slot_off((PyObject *)g_WaveType, "messages");
-    off_ew_occ = slot_off((PyObject *)g_WaveType, "occ");
-    off_ew_index = slot_off((PyObject *)g_WaveType, "index");
-    off_ew_done = slot_off((PyObject *)g_WaveType, "done");
-    off_ew_rn = slot_off((PyObject *)g_WaveType, "_rn");
-    off_ew_expiry = slot_off((PyObject *)g_WaveType, "_expiry");
     off_r_busy_cycles = slot_off((PyObject *)g_ResourceType,
                                  "busy_cycles");
     off_he_dram = slot_off((PyObject *)g_HomeType, "dram");
@@ -4564,12 +4188,10 @@ mod_arm_model(PyObject *mod, PyObject *spec)
         off_h_controllers, off_h_net, off_h_egress, off_h_t_update,
         off_h_t_ctrl, off_h_t_line, off_c_l1, off_c_l2, off_c_resv,
         off_c_meta, off_c_inflight, off_c_hub, off_c_sim, off_c_node,
-        off_c_cpu, off_c_t_l1, off_c_t_l2, off_c_spinw, off_sc_sets,
+        off_c_cpu, off_c_t_l1, off_c_t_l2, off_sc_sets,
         off_sc_nsets, off_sc_lb, off_sc_wu, off_sc_stamp, off_sc_hits,
         off_sc_misses, off_sc_inval, off_cl_state, off_cl_words,
-        off_cl_lastuse, off_lm_version, off_lm_gate, off_lm_gatewait,
-        off_ew_hub, off_ew_sim, off_ew_res, off_ew_msgs, off_ew_occ,
-        off_ew_index, off_ew_done, off_ew_rn, off_ew_expiry,
+        off_cl_lastuse, off_lm_version, off_lm_gate,
         off_r_busy_cycles, off_r_acquire,
         off_he_dram, off_he_backing, off_he_dir, off_he_sim, off_he_hub,
         off_he_node, off_he_config, off_he_gets, off_he_tdir,
@@ -4597,18 +4219,12 @@ static PyMethodDef accel_functions[] = {
      "Compiled Network.send bound to one network instance."},
     {"make_deliver", (PyCFunction)mod_make_deliver, METH_O,
      "Compiled Network._deliver bound to one network instance."},
-    {"wave_granted", (PyCFunction)mod_wave_granted, METH_O,
-     "Compiled _EgressWave._granted (egress grant re-arm)."},
-    {"wave_expire", (PyCFunction)mod_wave_expire, METH_O,
-     "Compiled _EgressWave._expire (one wave packet per call)."},
     {"build_wave", (PyCFunction)mod_build_wave, METH_FASTCALL,
      "Bulk-construct a wave's Message list from (cpu, node) pairs."},
     {"egress_send", (PyCFunction)mod_egress_send, METH_FASTCALL,
      "Compiled Hub.egress_send coroutine (acquire/occupy/release/send)."},
     {"ctrl_load", (PyCFunction)mod_ctrl_load, METH_FASTCALL,
      "Compiled CacheController.load coroutine (L1/L2 hit levels in C)."},
-    {"ctrl_spin_until", (PyCFunction)mod_ctrl_spin_until, METH_FASTCALL,
-     "Compiled CacheController.spin_until coroutine (versioned spin)."},
     {"ctrl_do_invalidate", (PyCFunction)mod_ctrl_do_invalidate,
      METH_FASTCALL,
      "Compiled CacheController._do_invalidate coroutine (inv + ack)."},
@@ -4675,7 +4291,6 @@ intern_all(void)
     INTERN(s_is_reply, "is_reply");
     INTERN(s_packet_bytes, "packet_bytes");
     INTERN(s_try_fire, "try_fire");
-    INTERN(s_fire, "fire");
     INTERN(s_pulse, "pulse");
     INTERN(s_line_changed, "_line_changed");
     INTERN(s_updates, "updates");

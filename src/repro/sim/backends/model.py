@@ -4,7 +4,7 @@ PR 8 compiled the *kernel* (event queue, dispatch ring, resume
 trampoline) and hit its Amdahl wall: with the kernel at ~10% of wall
 time, the remaining cycles live in the per-message model hot path —
 ``Network.send``/``_deliver``, the word-update handler chain, and the
-egress wave expiry that serializes every invalidation/update fan-out.
+cache-client and home-engine coroutines.
 This module extends the parity-gated backend seam across that boundary.
 
 Shape of the port
@@ -33,14 +33,12 @@ When armed, :func:`model_classes` returns thin subclasses:
     ``net.send``) still composes — the wrapper shadows the compiled
     attribute and receives it as the original to forward to.
 
-``AccelHub`` / ``AccelEgressWave``
-    The wave's per-packet ``_granted``/``_expire`` callbacks become C
-    functions, so an N-way invalidation or word-update wave costs N C
-    callbacks with no Python frames — batched release waves.  Grant
-    cycles, FIFO fairness with queued processes, resource accounting,
-    and the ``done`` signal's fire cycle are replicated exactly; the
-    egress ``send`` inside the expiry is fetched generically per packet
-    so fault-injection wrappers stay honored.
+``AccelHub`` / ``AccelCacheController`` / ``AccelHomeEngine``
+    ``Hub.egress_send``, ``CacheController.load`` / ``_do_invalidate``
+    and the GET_S clean-read / read-fill pair become compiled state
+    machines speaking the generator protocol.  Egress waves and
+    ``spin_until`` keep their Python coding: compiled, they measured
+    as no gain (docs/performance.md, "Which ports pay").
 
 Every fast path preserves the reference event stream bit-for-bit: same
 events, same counts, same order (golden parity enforces this across
@@ -97,7 +95,7 @@ def _try_arm():
     from repro.coherence.client import CacheController, LineMeta
     from repro.coherence.directory import DirectoryEntry, DirState
     from repro.coherence.protocol import HomeEngine
-    from repro.core.machine import Hub, _EgressWave
+    from repro.core.machine import Hub
     from repro.mem.address import LINE_BYTES, WORD_BYTES
     from repro.mem.dram import Dram
     from repro.network.fabric import Network
@@ -111,7 +109,6 @@ def _try_arm():
         "Cache": SetAssociativeCache,
         "CacheLine": CacheLine,
         "LineMeta": LineMeta,
-        "EgressWave": _EgressWave,
         "TrafficStats": TrafficStats,
         "WORD_UPDATE": MessageKind.WORD_UPDATE,
         "INVALID": LineState.INVALID,
@@ -119,11 +116,8 @@ def _try_arm():
         "net_send": Network.send,
         "net_deliver": Network._deliver,
         "hub_receive": Hub.receive,
-        "wave_granted": _EgressWave._granted,
-        "wave_expire": _EgressWave._expire,
         "hub_egress_send": Hub.egress_send,
         "ctrl_load": CacheController.load,
-        "ctrl_spin_until": CacheController.spin_until,
         "ctrl_do_invalidate": CacheController._do_invalidate,
         "INV_ACK": MessageKind.INV_ACK,
         "HomeEngine": HomeEngine,
@@ -156,7 +150,7 @@ def _build_classes(core) -> Tuple[type, type]:
     """
     from repro.coherence.client import CacheController
     from repro.coherence.protocol import HomeEngine
-    from repro.core.machine import Hub, _EgressWave
+    from repro.core.machine import Hub
     from repro.network.fabric import Network
 
     class AccelCacheController(CacheController):
@@ -168,9 +162,6 @@ def _build_classes(core) -> Tuple[type, type]:
         # fails, so behaviour — and the event stream — is identical.
         def load(self, addr):
             return core.ctrl_load(self, addr)
-
-        def spin_until(self, addr, predicate):
-            return core.ctrl_spin_until(self, addr, predicate)
 
         def _do_invalidate(self, msg):
             return core.ctrl_do_invalidate(self, msg)
@@ -187,18 +178,8 @@ def _build_classes(core) -> Tuple[type, type]:
         def _finish_clean_read(self, msg, words):
             return core.finish_clean_read(self, msg, words)
 
-    class AccelEgressWave(_EgressWave):
-        __slots__ = ()
-
-        def __init__(self, hub, messages, occ, done):
-            super().__init__(hub, messages, occ, done)
-            # one C callback per packet instead of a Python frame
-            self._rn = (core.wave_granted, (self,))
-            self._expiry = (core.wave_expire, (self,))
-
     class AccelHub(Hub):
         __slots__ = ()
-        _wave_cls = AccelEgressWave
         _controller_cls = AccelCacheController
         _home_cls = AccelHomeEngine
 

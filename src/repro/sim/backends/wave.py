@@ -1,64 +1,34 @@
-"""Batched wave expansion: vectorized sharer-bitmask fan-out.
+"""Fan-out waves: sharer-bitmask expansion and batched construction.
 
-The home engine's INVALIDATE / WORD_UPDATE waves expand a directory
-presence bitmask into ``(cpu, node)`` destination pairs before building
-the per-target messages.  At 32 CPUs that expansion is noise; on the
-512/1024-CPU broadcast-heavy cells a P-way wave peels a thousand bits
-and calls ``node_of_cpu`` a thousand times per barrier episode, all in
-the interpreter.
+The home engine's INVALIDATE / WORD_UPDATE waves turn a directory
+presence bitmask into ``(cpu, node)`` destination pairs with
+:func:`expand_wave`, then into one
+:class:`~repro.network.message.Message` per pair.  The construction
+comes in two interchangeable forms:
 
-This module provides the expansion in two interchangeable forms:
+``build_wave_py``
+    The reference coding, a list comprehension over the pairs.
 
-``expand_wave_py``
-    The reference coding — lowest-set-bit peeling plus a floor divide
-    per sharer, identical to ``directory.iter_sharers`` order.
+``_accel_core.build_wave``
+    The same batch allocated in C: same slots, same message-id counter,
+    same order.  :func:`wave_builder` picks it on the accel backend with
+    an armed compiled core.
 
-``expand_wave_np``
-    A numpy batch: the mask's little-endian bytes are unpacked to a bit
-    array, ``flatnonzero`` yields the ascending CPU ids, and the node
-    ids fall out of one vectorized floor divide.  Small fan-outs (below
-    ``VECTOR_MIN_FANOUT``) skip the array overhead and use the peel
-    loop.
-
-Both return the **same list in the same ascending-CPU order**, so the
-message stream — and therefore the golden parity fingerprints — is
-byte-identical regardless of which one runs.
-
-:func:`wave_expander` picks per machine: the numpy path is gated on the
-``accel`` backend *and* ``n_processors >= VECTOR_MIN_CPUS`` (and numpy
-being importable), keeping ``reference`` an honest pure-Python baseline.
+Both return the **same list in the same order**, so the message stream
+— and therefore the golden parity fingerprints — is byte-identical
+regardless of which one runs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-try:  # numpy is a hard dependency of repro, but degrade gracefully
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
-__all__ = [
-    "VECTOR_MIN_CPUS",
-    "VECTOR_MIN_FANOUT",
-    "build_wave_py",
-    "expand_wave_np",
-    "expand_wave_py",
-    "wave_builder",
-    "wave_expander",
-]
-
-#: machine size at which the accel backend switches to the numpy path
-VECTOR_MIN_CPUS = 512
-
-#: below this popcount the peel loop beats numpy's fixed overhead
-VECTOR_MIN_FANOUT = 16
-
-WaveExpander = Callable[[int, int], List[Tuple[int, int]]]
+__all__ = ["build_wave_py", "expand_wave", "wave_builder"]
 
 
-def expand_wave_py(mask: int, cpus_per_node: int) -> List[Tuple[int, int]]:
-    """``(cpu, node)`` pairs for every set bit, ascending CPU order."""
+def expand_wave(mask: int, cpus_per_node: int) -> List[Tuple[int, int]]:
+    """``(cpu, node)`` pairs for every set bit, ascending CPU order
+    (the order of ``directory.iter_sharers``)."""
     out = []
     while mask:
         low = mask & -mask
@@ -66,19 +36,6 @@ def expand_wave_py(mask: int, cpus_per_node: int) -> List[Tuple[int, int]]:
         out.append((cpu, cpu // cpus_per_node))
         mask ^= low
     return out
-
-
-def expand_wave_np(mask: int, cpus_per_node: int) -> List[Tuple[int, int]]:
-    """Vectorized :func:`expand_wave_py`; identical output and order."""
-    if mask.bit_count() < VECTOR_MIN_FANOUT:
-        return expand_wave_py(mask, cpus_per_node)
-    nbytes = (mask.bit_length() + 7) >> 3
-    bits = _np.unpackbits(
-        _np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=_np.uint8),
-        bitorder="little")
-    cpus = _np.flatnonzero(bits)
-    nodes = cpus // cpus_per_node
-    return list(zip(cpus.tolist(), nodes.tolist()))
 
 
 def build_wave_py(kind, src_node, addr, value, payload, pairs):
@@ -112,20 +69,3 @@ def wave_builder(backend: Optional[str]):
         if core is not None:
             return core.build_wave
     return build_wave_py
-
-
-def wave_expander(backend: Optional[str], n_processors: int) -> WaveExpander:
-    """Select the wave expansion for one machine.
-
-    ``backend`` is the machine's configured kernel backend name (``None``
-    applies the registry's selection order, so ``$REPRO_KERNEL_BACKEND``
-    is honored).  The numpy batch is used only for the ``accel`` backend
-    on machines of at least :data:`VECTOR_MIN_CPUS` CPUs; everything
-    else — including every ``reference`` run — gets the peel loop.
-    """
-    from repro.sim.backends import resolve_backend_name
-
-    name = resolve_backend_name(backend)
-    if name == "accel" and n_processors >= VECTOR_MIN_CPUS and _np is not None:
-        return expand_wave_np
-    return expand_wave_py

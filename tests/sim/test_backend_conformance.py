@@ -304,10 +304,27 @@ def test_deliver_of_a_bogus_kind_raises_the_same_error(backend):
         assert all(entry.name != "_deliver" for entry in err.traceback)
 
 
+def _fail_first_read(net, name):
+    """Make the first read of ``net.<name>`` raise; later reads succeed,
+    so a fallback that re-reads the attribute would hide the error."""
+    value = getattr(net, name)
+    reads = []
+
+    def read_once_fails(self):
+        reads.append(name)
+        if len(reads) == 1:
+            raise RuntimeError(f"{name} read failed")
+        return value
+
+    # a class-level property shadows the instance attribute
+    net.__class__ = type("FlakyNetwork", (type(net),),
+                         {name: property(read_once_fails)})
+
+
 #: fabric attributes ``Network.__init__`` always sets and ``send`` reads
 SEND_ATTRIBUTES = ("config", "delay_injector", "reorder_injector",
                    "_send_hooks", "stats", "_route_cache", "_inj_seq",
-                   "_deliver")
+                   "_deliver", "sim")
 
 
 @pytest.mark.parametrize("name", SEND_ATTRIBUTES)
@@ -325,18 +342,7 @@ def test_send_surfaces_a_failed_attribute_read(backend, name):
     machine = Machine(SystemConfig.table1(4, kernel_backend=backend))
     net = machine.net
     net._route(0, 1)                  # warm: no cold-route fallback
-    value = getattr(net, name)
-    reads = []
-
-    def read_once_fails(self):
-        reads.append(name)
-        if len(reads) == 1:
-            raise RuntimeError(f"{name} read failed")
-        return value
-
-    # a class-level property shadows the instance attribute
-    net.__class__ = type("FlakyNetwork", (type(net),),
-                         {name: property(read_once_fails)})
+    _fail_first_read(net, name)
     msg = Message(MessageKind.GET_S, 0, 1, addr=0)
     with pytest.raises(RuntimeError, match=f"{name} read failed") as err:
         net.send(msg)
@@ -344,6 +350,35 @@ def test_send_surfaces_a_failed_attribute_read(backend, name):
         # no Python frame of Network.send: the C path raised
         assert all(entry.name not in ("send", "_route")
                    for entry in err.traceback)
+
+
+@pytest.mark.parametrize("path, name", [("reply", "sim"),
+                                        ("request", "_handlers")])
+def test_deliver_surfaces_a_failed_attribute_read(backend, path, name):
+    """``_deliver`` reads ``sim`` to fire a reply and ``_handlers`` to
+    route a request.  A failed read there is an error, the same one on
+    every backend; the compiled ``_deliver`` must not fall back to its
+    Python twin, which would re-read the attribute and succeed."""
+    from repro.config.parameters import SystemConfig
+    from repro.core.machine import Machine
+    from repro.network.message import Message, MessageKind
+    from repro.sim.backends.model import model_core
+
+    machine = Machine(SystemConfig.table1(4, kernel_backend=backend))
+    net = machine.net
+    sig = Signal("reply")
+    if path == "reply":
+        msg = Message(MessageKind.DATA_S, 1, 0, addr=0, reply_to=sig)
+    else:
+        msg = Message(MessageKind.GET_S, 1, 0, addr=0, requester=1)
+    pending = machine.sim.pending_events()
+    _fail_first_read(net, name)
+    with pytest.raises(RuntimeError, match=f"{name} read failed") as err:
+        net._deliver(msg)
+    assert not sig.fired and machine.sim.pending_events() == pending
+    if backend == "accel" and model_core() is not None:
+        # no Python frame of Network._deliver: the C path raised
+        assert all(entry.name != "_deliver" for entry in err.traceback)
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +566,12 @@ def test_accel_require_compiled_refuses_fallback():
 # ported-handler message-trace equality (model-layer port)
 # ---------------------------------------------------------------------------
 #
-# The accel backend compiles whole protocol handlers (egress waves, the
-# cache-client load/spin/invalidate chain, the GET_S clean-read path and
-# its DATA_S read-fill).  Golden parity pins aggregate counts; these
-# tests pin the *full message trace* — every packet's kind, endpoints,
-# address, requester, size, and send cycle — for one scenario per ported
+# The accel backend compiles whole protocol handlers (egress sends and
+# wave construction, the cache-client load/invalidate chain, the GET_S
+# clean-read path and its DATA_S read-fill).  Golden parity pins
+# aggregate counts; these tests pin the *full message trace* — every
+# packet's kind, source and destination node, hop count, address,
+# requester, size, and send cycle — for one scenario per ported
 # handler, reference vs accel.
 
 def _scenario_get_s_clean(machine):
@@ -568,8 +604,8 @@ def _scenario_get_s_owned(machine):
 
 def _scenario_get_x_release_wave(machine):
     """Upgrade of a widely shared line: one GET_X triggers a full
-    invalidation wave (compiled per-packet wave callbacks on accel) and
-    the INV_ACK collection."""
+    invalidation wave (its messages built by the compiled ``build_wave``
+    on accel) and the INV_ACK collection."""
     var = machine.alloc("v", home_node=1)
 
     def reader(proc):
@@ -649,9 +685,10 @@ def _message_trace(backend, scenario_name):
         8, kernel_backend=backend, **overrides))
     trace = []
 
-    def hook(msg, dst):
-        trace.append((machine.sim.now, msg.kind.name, msg.src_node, dst,
-                      msg.addr, msg.requester, msg.size_bytes))
+    def hook(msg, hops):
+        trace.append((machine.sim.now, msg.kind.name, msg.src_node,
+                      msg.dst_node, hops, msg.addr, msg.requester,
+                      msg.size_bytes))
 
     machine.net.subscribe_send(hook)
     scenario(machine)
