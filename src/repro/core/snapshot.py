@@ -234,6 +234,7 @@ class MachineSnapshot:
         st.bytes = type(st.bytes)(counters.bytes)
         st.hop_bytes = type(st.hop_bytes)(counters.hop_bytes)
         st.local_messages = type(st.local_messages)(counters.local_messages)
+        st.hop_counts = dict(counters.hop_counts)
         st.retransmits = counters.retransmits
         st.trace_enabled = trace_enabled
         st.trace[:] = trace
@@ -263,9 +264,11 @@ class MachineSnapshot:
         # keep their identity (and their busy Resource) and are rewound.
         # Entries in the checkpoint but absent now are re-created: a
         # pooled machine may have run a different workload (other lines)
-        # since this snapshot was taken.
+        # since this snapshot was taken.  A dropped entry's busy
+        # Resource and its cached Acquire point at each other; unlinking
+        # them lets refcounting free the pair instead of the cyclic GC.
         for line in [ln for ln in entries if ln not in directory]:
-            del entries[line]
+            entries.pop(line).busy._acquire = None
         for line, (dstate, mask, owner, amu_sharer, version,
                    busy) in directory.items():
             ent = home.directory.entry(line)

@@ -4,7 +4,10 @@ Counts every packet by :class:`~repro.network.message.MessageKind`, in
 messages, bytes, and hop-weighted bytes (bytes x hops: link occupancy,
 closest to what "network traffic" means in the paper's Figure 7).  Local
 (same-node, crossbar) deliveries are tracked separately so the Figure 1
-message-anatomy counts only true network messages.
+message-anatomy counts only true network messages.  Remote packets are
+also counted per hop count (``hop_counts``); with the local packets as
+the hops-0 bucket, that is the whole per-packet hop distribution, which
+:mod:`repro.obs` reads at snapshot time instead of observing each send.
 
 A lightweight trace can be enabled per-run to capture the exact message
 sequence of small scenarios (the 18-vs-6 message comparison).
@@ -45,6 +48,9 @@ class TrafficStats:
     bytes: Counter = field(default_factory=Counter)          # kind -> bytes
     hop_bytes: Counter = field(default_factory=Counter)      # kind -> bytes*hops
     local_messages: Counter = field(default_factory=Counter)
+    #: hops -> remote packets.  A plain dict: ``d[k] = d.get(k, 0) + 1``
+    #: costs about a third of a Counter's ``d[k] += 1``
+    hop_counts: dict = field(default_factory=dict)
     retransmits: int = 0
     trace_enabled: bool = False
     trace: list[TraceEntry] = field(default_factory=list)
@@ -58,6 +64,8 @@ class TrafficStats:
             self.messages[msg.kind] += 1
             self.bytes[msg.kind] += msg.size_bytes
             self.hop_bytes[msg.kind] += msg.size_bytes * hops
+            hop_counts = self.hop_counts
+            hop_counts[hops] = hop_counts.get(hops, 0) + 1
         if msg.is_retransmit:
             self.retransmits += 1
         if self.trace_enabled:
@@ -93,6 +101,7 @@ class TrafficStats:
             bytes=Counter(self.bytes),
             hop_bytes=Counter(self.hop_bytes),
             local_messages=Counter(self.local_messages),
+            hop_counts=dict(self.hop_counts),
             retransmits=self.retransmits,
         )
 
@@ -103,6 +112,11 @@ class TrafficStats:
         out.bytes = self.bytes - earlier.bytes
         out.hop_bytes = self.hop_bytes - earlier.hop_bytes
         out.local_messages = self.local_messages - earlier.local_messages
+        # positive entries only, as Counter subtraction keeps them
+        before = earlier.hop_counts
+        out.hop_counts = {hops: n - before.get(hops, 0)
+                          for hops, n in self.hop_counts.items()
+                          if n > before.get(hops, 0)}
         out.retransmits = self.retransmits - earlier.retransmits
         return out
 
@@ -111,6 +125,7 @@ class TrafficStats:
         self.bytes.clear()
         self.hop_bytes.clear()
         self.local_messages.clear()
+        self.hop_counts.clear()
         self.retransmits = 0
         self.trace.clear()
 

@@ -10,23 +10,29 @@ observable.  It costs nothing it does not use:
 * **Gauges** expose point-in-time state (event-queue depth, AMU input
   queue depth) for the :class:`~repro.obs.sampler.Sampler`.
 * **Push histograms** capture distributions that cannot be pulled
-  (invalidation/update fan-out per coherence write, per-message hop and
-  byte counts).  Component hot paths guard these behind one
-  ``machine.obs is None`` attribute check, so an unobserved machine
-  runs the exact seed-code path.
+  (invalidation/update fan-out per coherence write).  Component hot
+  paths guard these behind one ``machine.obs is None`` attribute check,
+  so an unobserved machine runs the exact seed-code path.
+* **Pulled histograms**: the per-packet hop and byte distributions
+  (``network.msg_hops`` / ``network.msg_bytes``) are rebuilt at
+  snapshot time from the fabric's own traffic counters.  Attaching
+  metrics subscribes no send hook, so a metered machine runs the same
+  send path — compiled on ``accel`` — as an unmetered one.
 
 ``snapshot()`` additionally folds in the network's per-kind traffic
 counters (``network.msgs.<kind>`` / ``.bytes.<kind>`` /
 ``.hop_bytes.<kind>``), the sampler's time-series, and — when a
 critical-path summary was recorded by the workload driver — the
-``critical_path`` section.
+``critical_path`` section.  :meth:`MachineMetrics.detach` unhooks the
+metrics from the machine, so a pooled machine carries no observer into
+its next run.
 """
 
 from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.sampler import Sampler
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,8 +54,6 @@ class MachineMetrics:
             "coherence.inval_fanout")
         self.update_fanout = self.registry.histogram(
             "coherence.update_fanout")
-        self.msg_hops = self.registry.histogram("network.msg_hops")
-        self.msg_bytes = self.registry.histogram("network.msg_bytes")
         self._register_collectors()
 
     # ------------------------------------------------------------------
@@ -65,15 +69,19 @@ class MachineMetrics:
         """
         obs = cls(machine)
         machine.obs = obs
-        machine.net.subscribe_send(obs._on_send)
         if sample_interval:
             obs.sampler = Sampler(machine.sim, obs.registry,
                                   sample_interval)
         return obs
 
-    def _on_send(self, msg, hops: int) -> None:
-        self.msg_hops.observe(hops)
-        self.msg_bytes.observe(msg.size_bytes)
+    def detach(self) -> None:
+        """Unhook from the machine; :meth:`snapshot` stays readable.
+
+        Drivers call this when a run ends, so a pooled machine keeps no
+        observer (and no ``machine.obs`` <-> metrics reference cycle)
+        into its next run."""
+        if self.machine.obs is self:
+            self.machine.obs = None
 
     # ------------------------------------------------------------------
     def _register_collectors(self) -> None:
@@ -183,8 +191,29 @@ class MachineMetrics:
         for kind, n in sorted(stats.local_messages.items(),
                               key=lambda kv: kv[0].value):
             counters[f"network.local_msgs.{kind.value}"] = n
+        snap["histograms"] = dict(sorted({
+            **snap["histograms"], **self._traffic_histograms(stats),
+        }.items()))
         if self.sampler is not None and self.sampler.series:
             snap["series"] = list(self.sampler.series)
         if self.critical_path is not None:
             snap["critical_path"] = self.critical_path
         return snap
+
+    @staticmethod
+    def _traffic_histograms(stats) -> dict:
+        """Per-packet hop and byte histograms of every packet sent.
+
+        Local packets are the hops-0 bucket.  A packet's size is its
+        kind's ``packet_bytes`` (no sender overrides
+        ``Message.size_bytes``), so per-kind counts give the byte
+        distribution exactly."""
+        hops = Histogram("network.msg_hops")
+        hops.observe_many(0, stats.total_local_messages)
+        for n_hops, n in sorted(stats.hop_counts.items()):
+            hops.observe_many(n_hops, n)
+        sizes = Histogram("network.msg_bytes")
+        for kind in stats.messages.keys() | stats.local_messages.keys():
+            sizes.observe_many(kind.packet_bytes, stats.messages[kind]
+                               + stats.local_messages[kind])
+        return {h.name: h.as_dict() for h in (hops, sizes)}

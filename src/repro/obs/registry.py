@@ -96,15 +96,21 @@ class Histogram:
         self.buckets: dict[int, int] = {}
 
     def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
+        self.observe_many(value, 1)
+
+    def observe_many(self, value: float, n: int) -> None:
+        """``n`` observations of ``value`` (none when ``n`` <= 0)."""
+        if n <= 0:
+            return
+        self.count += n
+        self.total += value * n
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
         iv = int(value)
         bucket = 0 if iv <= 0 else 1 << (iv - 1).bit_length()
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
+        self.buckets[bucket] = self.buckets.get(bucket, 0) + n
 
     @property
     def mean(self) -> float:

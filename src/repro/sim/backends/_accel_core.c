@@ -88,7 +88,8 @@ static PyTypeObject Coro_Type;
 static PyObject *s_sim, *s_send, *s_stats, *s_config, *s_handlers,
     *s_send_hooks, *s_delay_injector, *s_reorder_injector,
     *s_inj_seq, *s_route_cache, *s_deliver, *s_messages, *s_bytes,
-    *s_hop_bytes, *s_local_messages, *s_retransmits, *s_trace_enabled,
+    *s_hop_bytes, *s_hop_counts, *s_local_messages, *s_retransmits,
+    *s_trace_enabled,
     *s_router_contention, *s_link_contention, *s_is_reply,
     *s_packet_bytes, *s_try_fire, *s_pulse, *s_line_changed,
     *s_updates, *s_apply_word_update, *s_net, *s_carries_line,
@@ -1805,7 +1806,8 @@ ll_of(PyObject *obj, long long *out)
 
 /* counter[key] += n on a collections.Counter — a dict subclass that
  * does not override item access, and whose __missing__ reads as 0,
- * which PyDict_GetItemWithError's NULL result replicates */
+ * which PyDict_GetItemWithError's NULL result replicates — or on a
+ * plain dict, as counter[key] = counter.get(key, 0) + n */
 static int
 counter_add(PyObject *counter, PyObject *key, long long n)
 {
@@ -2233,7 +2235,9 @@ send_fast(PyObject *net, PyObject *msg)
     SimObject *sim = (SimObject *)sim_obj;
     int rc = -1;
     PyObject *stats = NULL, *key = NULL, *deliver = NULL, *seqs = NULL;
-    PyObject *counters[3] = { NULL, NULL, NULL };
+    PyObject *hops_obj = NULL;
+    /* messages, bytes, hop_bytes, hop_counts (local: local_messages) */
+    PyObject *counters[4] = { NULL, NULL, NULL, NULL };
     /* --- precondition phase: no mutation before every check passes --- */
     {
         PyObject *cfg = PyObject_GetAttr(net, s_config);
@@ -2318,6 +2322,8 @@ send_fast(PyObject *net, PyObject *msg)
         int ok = PyTuple_CheckExact(route) && PyTuple_GET_SIZE(route) == 2
             && ll_of(PyTuple_GET_ITEM(route, 0), &hops) == 0
             && ll_of(PyTuple_GET_ITEM(route, 1), &lat) == 0;
+        if (ok)   /* the hop_counts key, as TrafficStats.record uses it */
+            hops_obj = Py_NewRef(PyTuple_GET_ITEM(route, 0));
         Py_DECREF(cache);
         if (!ok)
             goto soft_fallback;
@@ -2332,8 +2338,9 @@ send_fast(PyObject *net, PyObject *msg)
             goto done;
     }
     else {
-        PyObject *names[3] = { s_messages, s_bytes, s_hop_bytes };
-        for (int i = 0; i < 3; i++) {
+        PyObject *names[4] = { s_messages, s_bytes, s_hop_bytes,
+                               s_hop_counts };
+        for (int i = 0; i < 4; i++) {
             counters[i] = PyObject_GetAttr(stats, names[i]);
             if (counters[i] == NULL)
                 goto done;
@@ -2341,7 +2348,7 @@ send_fast(PyObject *net, PyObject *msg)
         if (ll_of(SLOT(msg, off_m_size), &size) < 0)
             goto soft_fallback;
     }
-    for (int i = 0; i < 3; i++) {
+    for (int i = 0; i < 4; i++) {
         if (counters[i] != NULL && !PyDict_Check(counters[i]))
             goto soft_fallback;
     }
@@ -2382,7 +2389,8 @@ send_fast(PyObject *net, PyObject *msg)
         else {
             err = counter_add(counters[0], kind, 1) < 0
                 || counter_add(counters[1], kind, size) < 0
-                || counter_add(counters[2], kind, size * hops) < 0;
+                || counter_add(counters[2], kind, size * hops) < 0
+                || counter_add(counters[3], hops_obj, 1) < 0;
         }
         if (err)
             goto done;
@@ -2435,7 +2443,8 @@ done:
     Py_XDECREF(key);
     Py_XDECREF(deliver);
     Py_XDECREF(seqs);
-    for (int i = 0; i < 3; i++)
+    Py_XDECREF(hops_obj);
+    for (int i = 0; i < 4; i++)
         Py_XDECREF(counters[i]);
     Py_DECREF(sim_obj);
     return rc;
@@ -4283,6 +4292,7 @@ intern_all(void)
     INTERN(s_messages, "messages");
     INTERN(s_bytes, "bytes");
     INTERN(s_hop_bytes, "hop_bytes");
+    INTERN(s_hop_counts, "hop_counts");
     INTERN(s_local_messages, "local_messages");
     INTERN(s_retransmits, "retransmits");
     INTERN(s_trace_enabled, "trace_enabled");

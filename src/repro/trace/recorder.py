@@ -3,6 +3,8 @@
 Span capture is zero-cost when no recorder is attached: the processor's
 traced methods check ``machine.tracer`` once per call.  Message capture
 subscribes to the fabric's send hooks (``Network.subscribe_send``).
+:meth:`TraceRecorder.detach` undoes both, so a pooled machine can be
+traced for one run and reused untraced.
 
 Chrome trace format notes: we emit "X" (complete) events with ``ts`` and
 ``dur`` in simulated CPU cycles (one cycle rendered as one microsecond —
@@ -52,6 +54,7 @@ class TraceRecorder:
         self.spans: list[Span] = []
         self.instants: list[Instant] = []
         self.message_capture = True
+        self._machine: Optional["Machine"] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -60,19 +63,32 @@ class TraceRecorder:
         """Create a recorder and hook it into ``machine``."""
         tracer = cls()
         tracer.message_capture = capture_messages
+        tracer._machine = machine
         machine.tracer = tracer
         if capture_messages:
-            def on_send(msg, hops):
-                tracer.instants.append(Instant(
-                    track="net",
-                    name=msg.kind.value,
-                    time=machine.sim.now,
-                    args={"src": msg.src_node, "dst": msg.dst_node,
-                          "hops": hops,
-                          "addr": None if msg.addr is None
-                          else hex(msg.addr)}))
-            machine.net.subscribe_send(on_send)
+            machine.net.subscribe_send(tracer._on_send)
         return tracer
+
+    def detach(self) -> None:
+        """Unhook from the attached machine (no-op when not attached);
+        the recorded spans and instants stay readable."""
+        machine = self._machine
+        if machine is None:
+            return
+        if self.message_capture:
+            machine.net.unsubscribe_send(self._on_send)
+        if machine.tracer is self:
+            machine.tracer = None
+        self._machine = None
+
+    def _on_send(self, msg, hops: int) -> None:
+        self.instants.append(Instant(
+            track="net",
+            name=msg.kind.value,
+            time=self._machine.sim.now,
+            args={"src": msg.src_node, "dst": msg.dst_node,
+                  "hops": hops,
+                  "addr": None if msg.addr is None else hex(msg.addr)}))
 
     # ------------------------------------------------------------------
     def add_span(self, track: str, name: str, start: int, end: int,

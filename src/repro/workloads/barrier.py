@@ -81,7 +81,9 @@ def run_barrier_workload(n_processors: int, mechanism: Mechanism,
     machine construction and warm-up across calls: the first call for a
     shape builds, warms and checkpoints; later calls restore and replay
     the measured episodes only, with identical cycles and event counts.
-    Metrics runs bypass the cache (observers hold per-run state).
+    Metered runs skip the warm contexts, so their warm-up is simulated
+    and observed, but still take their machine from the cache's pool;
+    the observers are detached when the run ends.
     ``backend`` selects the event-kernel backend
     (:mod:`repro.sim.backends`); results are byte-identical across
     backends, so it never changes what is measured — only how fast.
@@ -102,48 +104,56 @@ def run_barrier_workload(n_processors: int, mechanism: Mechanism,
         machine.restore(ctx.snapshot)
         barrier.load_state(ctx.sync_state)
     else:
-        machine = warm_cache.pool.acquire(cfg) if warm else Machine(cfg)
+        machine = (warm_cache.pool.acquire(cfg) if warm_cache is not None
+                   else Machine(cfg))
         if metrics:
             obs = MachineMetrics.attach(machine,
                                         sample_interval=metrics_interval)
             tracer = TraceRecorder.attach(machine, capture_messages=False)
-        if tree_branching is not None:
-            barrier = CombiningTreeBarrier(machine, mechanism,
-                                           branching=tree_branching,
-                                           root_home=home_node)
-        else:
-            barrier = CentralizedBarrier(machine, mechanism, naive=naive,
-                                         home_node=home_node)
+    try:
+        if ctx is None:
+            if tree_branching is not None:
+                barrier = CombiningTreeBarrier(machine, mechanism,
+                                               branching=tree_branching,
+                                               root_home=home_node)
+            else:
+                barrier = CentralizedBarrier(machine, mechanism,
+                                             naive=naive,
+                                             home_node=home_node)
 
-    def make_thread(count: int, measured: bool = False):
-        def thread(proc):
-            for _ in range(count):
-                t0 = proc.sim.now
-                yield from barrier.wait(proc)
-                if measured and tracer is not None:
-                    tracer.add_span(f"cpu{proc.cpu_id}", EPISODE_SPAN,
-                                    t0, proc.sim.now)
-        return thread
+        def make_thread(count: int, measured: bool = False):
+            def thread(proc):
+                for _ in range(count):
+                    t0 = proc.sim.now
+                    yield from barrier.wait(proc)
+                    if measured and tracer is not None:
+                        tracer.add_span(f"cpu{proc.cpu_id}", EPISODE_SPAN,
+                                        t0, proc.sim.now)
+            return thread
 
-    if ctx is None:
-        if warmup_episodes:
-            machine.run_threads(make_thread(warmup_episodes))
-        if warm and hasattr(barrier, "save_state"):
-            warm_cache.store(key, machine, barrier, machine.snapshot(),
-                             barrier.save_state())
-    start = machine.last_completion_time
-    before = machine.net.stats.snapshot()
-    if obs is not None and obs.sampler is not None:
-        obs.sampler.start()
-    machine.run_threads(make_thread(episodes, measured=True))
-    total = machine.last_completion_time - start
-    traffic = machine.net.stats.delta_since(before)
-    machine.check_coherence_invariants()
-    snapshot = None
-    if obs is not None:
-        analyzer = CriticalPathAnalyzer(machine)
-        obs.critical_path = analyzer.summarize(analyzer.analyze(tracer))
-        snapshot = obs.snapshot()
+        if ctx is None:
+            if warmup_episodes:
+                machine.run_threads(make_thread(warmup_episodes))
+            if warm and hasattr(barrier, "save_state"):
+                warm_cache.store(key, machine, barrier, machine.snapshot(),
+                                 barrier.save_state())
+        start = machine.last_completion_time
+        before = machine.net.stats.snapshot()
+        if obs is not None and obs.sampler is not None:
+            obs.sampler.start()
+        machine.run_threads(make_thread(episodes, measured=True))
+        total = machine.last_completion_time - start
+        traffic = machine.net.stats.delta_since(before)
+        machine.check_coherence_invariants()
+        snapshot = None
+        if obs is not None:
+            analyzer = CriticalPathAnalyzer(machine)
+            obs.critical_path = analyzer.summarize(analyzer.analyze(tracer))
+            snapshot = obs.snapshot()
+    finally:
+        if obs is not None:
+            obs.detach()
+            tracer.detach()
     return BarrierResult(
         mechanism=mechanism, n_processors=n_processors, episodes=episodes,
         tree_branching=tree_branching, total_cycles=total, traffic=traffic,

@@ -107,60 +107,67 @@ def run_lock_workload(n_processors: int, mechanism: Mechanism,
         machine.restore(ctx.snapshot)
         lock.load_state(ctx.sync_state)
     else:
-        machine = warm_cache.pool.acquire(cfg) if warm else Machine(cfg)
+        machine = (warm_cache.pool.acquire(cfg) if warm_cache is not None
+                   else Machine(cfg))
         if metrics:
             obs = MachineMetrics.attach(machine,
                                         sample_interval=metrics_interval)
             tracer = TraceRecorder.attach(machine, capture_messages=False)
-        if lock_type == "ticket":
-            lock = TicketLock(machine, mechanism, home_node=home_node)
-        elif lock_type == "array":
-            lock = ArrayQueueLock(machine, mechanism, home_node=home_node)
-        elif lock_type == "mcs":
-            lock = McsLock(machine, mechanism, home_node=home_node)
-        else:
-            raise ValueError(f"unknown lock type {lock_type!r}")
+    try:
+        if ctx is None:
+            if lock_type == "ticket":
+                lock = TicketLock(machine, mechanism, home_node=home_node)
+            elif lock_type == "array":
+                lock = ArrayQueueLock(machine, mechanism, home_node=home_node)
+            elif lock_type == "mcs":
+                lock = McsLock(machine, mechanism, home_node=home_node)
+            else:
+                raise ValueError(f"unknown lock type {lock_type!r}")
 
-    occupancy = {"n": 0}
-    acquire_latency = LatencyStats(name=f"{lock_type}-acquire")
+        occupancy = {"n": 0}
+        acquire_latency = LatencyStats(name=f"{lock_type}-acquire")
 
-    def make_thread(count: int, measured: bool):
-        def thread(proc):
-            for _ in range(count):
-                t0 = proc.sim.now
-                yield from lock.acquire(proc)
-                if measured:
-                    acquire_latency.record(proc.sim.now - t0)
-                occupancy["n"] += 1
-                assert occupancy["n"] == 1, "mutual exclusion violated"
-                yield from proc.delay(cs_cycles)
-                occupancy["n"] -= 1
-                yield from lock.release(proc)
-                if measured and tracer is not None:
-                    tracer.add_span(f"cpu{proc.cpu_id}", EPISODE_SPAN,
-                                    t0, proc.sim.now)
-                yield from proc.delay(think_cycles)
-        return thread
+        def make_thread(count: int, measured: bool):
+            def thread(proc):
+                for _ in range(count):
+                    t0 = proc.sim.now
+                    yield from lock.acquire(proc)
+                    if measured:
+                        acquire_latency.record(proc.sim.now - t0)
+                    occupancy["n"] += 1
+                    assert occupancy["n"] == 1, "mutual exclusion violated"
+                    yield from proc.delay(cs_cycles)
+                    occupancy["n"] -= 1
+                    yield from lock.release(proc)
+                    if measured and tracer is not None:
+                        tracer.add_span(f"cpu{proc.cpu_id}", EPISODE_SPAN,
+                                        t0, proc.sim.now)
+                    yield from proc.delay(think_cycles)
+            return thread
 
-    if ctx is None:
-        if warmup_per_cpu:
-            machine.run_threads(make_thread(warmup_per_cpu, False))
-        if warm and hasattr(lock, "save_state"):
-            warm_cache.store(key, machine, lock, machine.snapshot(),
-                             lock.save_state())
-    start = machine.last_completion_time
-    before = machine.net.stats.snapshot()
-    if obs is not None and obs.sampler is not None:
-        obs.sampler.start()
-    machine.run_threads(make_thread(acquisitions_per_cpu, True))
-    total = machine.last_completion_time - start
-    traffic = machine.net.stats.delta_since(before)
-    machine.check_coherence_invariants()
-    snapshot = None
-    if obs is not None:
-        analyzer = CriticalPathAnalyzer(machine)
-        obs.critical_path = analyzer.summarize(analyzer.analyze(tracer))
-        snapshot = obs.snapshot()
+        if ctx is None:
+            if warmup_per_cpu:
+                machine.run_threads(make_thread(warmup_per_cpu, False))
+            if warm and hasattr(lock, "save_state"):
+                warm_cache.store(key, machine, lock, machine.snapshot(),
+                                 lock.save_state())
+        start = machine.last_completion_time
+        before = machine.net.stats.snapshot()
+        if obs is not None and obs.sampler is not None:
+            obs.sampler.start()
+        machine.run_threads(make_thread(acquisitions_per_cpu, True))
+        total = machine.last_completion_time - start
+        traffic = machine.net.stats.delta_since(before)
+        machine.check_coherence_invariants()
+        snapshot = None
+        if obs is not None:
+            analyzer = CriticalPathAnalyzer(machine)
+            obs.critical_path = analyzer.summarize(analyzer.analyze(tracer))
+            snapshot = obs.snapshot()
+    finally:
+        if obs is not None:
+            obs.detach()
+            tracer.detach()
     return LockResult(
         mechanism=mechanism, lock_type=lock_type,
         n_processors=n_processors,

@@ -133,109 +133,117 @@ def run_qlock_workload(n_processors: int, mechanism: Mechanism,
         machine.restore(ctx.snapshot)
         lock.load_state(ctx.sync_state)
     else:
-        machine = warm_cache.pool.acquire(cfg) if warm else Machine(cfg)
+        machine = (warm_cache.pool.acquire(cfg) if warm_cache is not None
+                   else Machine(cfg))
         if metrics:
             obs = MachineMetrics.attach(machine,
                                         sample_interval=metrics_interval)
             tracer = TraceRecorder.attach(machine, capture_messages=False)
-        if lock_type == "mcs":
-            lock = McsLock(machine, mechanism, home_node=home_node)
-        elif lock_type == "cna":
-            lock = CnaLock(machine, mechanism, home_node=home_node,
-                           batch_threshold=batch_threshold)
-        else:
-            lock = RwTicketLock(machine, mechanism, home_node=home_node)
+    try:
+        if ctx is None:
+            if lock_type == "mcs":
+                lock = McsLock(machine, mechanism, home_node=home_node)
+            elif lock_type == "cna":
+                lock = CnaLock(machine, mechanism, home_node=home_node,
+                               batch_threshold=batch_threshold)
+            else:
+                lock = RwTicketLock(machine, mechanism, home_node=home_node)
 
-    occupancy = {"n": 0, "w": 0}
-    acquire_latency = LatencyStats(name=f"{lock_type}-acquire")
-    spans: list = []
+        occupancy = {"n": 0, "w": 0}
+        acquire_latency = LatencyStats(name=f"{lock_type}-acquire")
+        spans: list = []
 
-    def make_queue_thread(count: int, measured: bool):
-        def thread(proc):
-            for _ in range(count):
-                t0 = proc.sim.now
-                handle, pred = yield from lock.acquire(proc)
-                if measured:
-                    acquire_latency.record(proc.sim.now - t0)
-                t_acq = proc.sim.now
-                occupancy["n"] += 1
-                assert occupancy["n"] == 1, "mutual exclusion violated"
-                yield from proc.delay(cs_cycles)
-                occupancy["n"] -= 1
-                if measured:
-                    spans.append(QueueLockSpan(
-                        cpu=proc.cpu_id,
-                        node=machine.node_of_cpu(proc.cpu_id),
-                        handle=handle, pred=pred,
-                        acquired=t_acq, released=proc.sim.now))
-                yield from lock.release(proc)
-                if measured and tracer is not None:
-                    tracer.add_span(f"cpu{proc.cpu_id}", EPISODE_SPAN,
-                                    t0, proc.sim.now)
-                yield from proc.delay(think_cycles)
-        return thread
-
-    def make_rw_thread(count: int, measured: bool):
-        def thread(proc):
-            writer = proc.cpu_id % 2 == 0
-            for _ in range(count):
-                t0 = proc.sim.now
-                if writer:
-                    ticket = yield from lock.acquire_write(proc)
-                else:
-                    ticket = yield from lock.acquire_read(proc)
-                if measured:
-                    acquire_latency.record(proc.sim.now - t0)
-                t_acq = proc.sim.now
-                if writer:
-                    occupancy["w"] += 1
-                    assert occupancy["w"] == 1 and occupancy["n"] == 0, \
-                        "rw exclusion violated"
-                else:
+        def make_queue_thread(count: int, measured: bool):
+            def thread(proc):
+                for _ in range(count):
+                    t0 = proc.sim.now
+                    handle, pred = yield from lock.acquire(proc)
+                    if measured:
+                        acquire_latency.record(proc.sim.now - t0)
+                    t_acq = proc.sim.now
                     occupancy["n"] += 1
-                    assert occupancy["w"] == 0, "rw exclusion violated"
-                yield from proc.delay(cs_cycles)
-                if writer:
-                    occupancy["w"] -= 1
-                else:
+                    assert occupancy["n"] == 1, "mutual exclusion violated"
+                    yield from proc.delay(cs_cycles)
                     occupancy["n"] -= 1
-                if measured:
-                    spans.append(RwSpan(
-                        cpu=proc.cpu_id, kind="w" if writer else "r",
-                        ticket=ticket, acquired=t_acq,
-                        released=proc.sim.now))
-                if writer:
-                    yield from lock.release_write(proc)
-                else:
-                    yield from lock.release_read(proc)
-                if measured and tracer is not None:
-                    tracer.add_span(f"cpu{proc.cpu_id}", EPISODE_SPAN,
-                                    t0, proc.sim.now)
-                yield from proc.delay(think_cycles)
-        return thread
+                    if measured:
+                        spans.append(QueueLockSpan(
+                            cpu=proc.cpu_id,
+                            node=machine.node_of_cpu(proc.cpu_id),
+                            handle=handle, pred=pred,
+                            acquired=t_acq, released=proc.sim.now))
+                    yield from lock.release(proc)
+                    if measured and tracer is not None:
+                        tracer.add_span(f"cpu{proc.cpu_id}", EPISODE_SPAN,
+                                        t0, proc.sim.now)
+                    yield from proc.delay(think_cycles)
+            return thread
 
-    make_thread = make_rw_thread if lock_type == "rw" else make_queue_thread
+        def make_rw_thread(count: int, measured: bool):
+            def thread(proc):
+                writer = proc.cpu_id % 2 == 0
+                for _ in range(count):
+                    t0 = proc.sim.now
+                    if writer:
+                        ticket = yield from lock.acquire_write(proc)
+                    else:
+                        ticket = yield from lock.acquire_read(proc)
+                    if measured:
+                        acquire_latency.record(proc.sim.now - t0)
+                    t_acq = proc.sim.now
+                    if writer:
+                        occupancy["w"] += 1
+                        assert occupancy["w"] == 1 and occupancy["n"] == 0, \
+                            "rw exclusion violated"
+                    else:
+                        occupancy["n"] += 1
+                        assert occupancy["w"] == 0, "rw exclusion violated"
+                    yield from proc.delay(cs_cycles)
+                    if writer:
+                        occupancy["w"] -= 1
+                    else:
+                        occupancy["n"] -= 1
+                    if measured:
+                        spans.append(RwSpan(
+                            cpu=proc.cpu_id, kind="w" if writer else "r",
+                            ticket=ticket, acquired=t_acq,
+                            released=proc.sim.now))
+                    if writer:
+                        yield from lock.release_write(proc)
+                    else:
+                        yield from lock.release_read(proc)
+                    if measured and tracer is not None:
+                        tracer.add_span(f"cpu{proc.cpu_id}", EPISODE_SPAN,
+                                        t0, proc.sim.now)
+                    yield from proc.delay(think_cycles)
+            return thread
 
-    if ctx is None:
-        if warmup_per_cpu:
-            machine.run_threads(make_thread(warmup_per_cpu, False))
-        if warm:
-            warm_cache.store(key, machine, lock, machine.snapshot(),
-                             lock.save_state())
-    start = machine.last_completion_time
-    before = machine.net.stats.snapshot()
-    if obs is not None and obs.sampler is not None:
-        obs.sampler.start()
-    machine.run_threads(make_thread(acquisitions_per_cpu, True))
-    total = machine.last_completion_time - start
-    traffic = machine.net.stats.delta_since(before)
-    machine.check_coherence_invariants()
-    _check_history(lock_type, spans, batch_threshold)
-    snapshot = None
-    if obs is not None:
-        analyzer = CriticalPathAnalyzer(machine)
-        obs.critical_path = analyzer.summarize(analyzer.analyze(tracer))
-        snapshot = obs.snapshot()
+        make_thread = (make_rw_thread if lock_type == "rw"
+                       else make_queue_thread)
+
+        if ctx is None:
+            if warmup_per_cpu:
+                machine.run_threads(make_thread(warmup_per_cpu, False))
+            if warm:
+                warm_cache.store(key, machine, lock, machine.snapshot(),
+                                 lock.save_state())
+        start = machine.last_completion_time
+        before = machine.net.stats.snapshot()
+        if obs is not None and obs.sampler is not None:
+            obs.sampler.start()
+        machine.run_threads(make_thread(acquisitions_per_cpu, True))
+        total = machine.last_completion_time - start
+        traffic = machine.net.stats.delta_since(before)
+        machine.check_coherence_invariants()
+        _check_history(lock_type, spans, batch_threshold)
+        snapshot = None
+        if obs is not None:
+            analyzer = CriticalPathAnalyzer(machine)
+            obs.critical_path = analyzer.summarize(analyzer.analyze(tracer))
+            snapshot = obs.snapshot()
+    finally:
+        if obs is not None:
+            obs.detach()
+            tracer.detach()
     return LockResult(
         mechanism=mechanism, lock_type=lock_type,
         n_processors=n_processors,

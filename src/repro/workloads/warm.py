@@ -15,10 +15,12 @@ warm-up episodes.  :class:`WarmCache` removes both costs:
 A warm-started run is cycle-for-cycle and event-count identical to a
 fresh build+warm+measure of the same point; the scale benchmark asserts
 this on every repeat and the parity suite pins it against golden
-fingerprints.  Workload drivers take ``warm_cache=None`` and fall back
-to fresh construction when it is absent, when metrics/tracing are
-requested (observers hold per-run state), or when the sync object does
-not implement ``save_state``/``load_state``.
+fingerprints.  Workload drivers take ``warm_cache=None`` and build a
+fresh machine only when it is absent.  Metered runs skip the warm
+contexts, since metrics must observe the warm-up too, but still take
+their machine from the pool and detach their observers when the run
+ends.  Sync objects without ``save_state``/``load_state`` likewise run
+their warm-up on a pooled machine each call.
 """
 
 from __future__ import annotations

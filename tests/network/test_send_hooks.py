@@ -88,5 +88,6 @@ def test_tracer_profiler_metrics_compose_in_any_order(machine8, order):
 
     machine8.run_threads(thread)
     assert tracer.instants                         # tracer saw messages
-    assert obs.msg_hops.count > 0                  # metrics saw messages
+    hops = obs.snapshot()["histograms"]["network.msg_hops"]
+    assert hops["count"] > 0                       # metrics saw messages
     assert profiler.lines_profiled > 0             # profiler saw messages

@@ -1,6 +1,18 @@
 """MachineMetrics end-to-end: collectors wired to a real machine."""
 
+import pytest
+
+from repro.config.mechanism import Mechanism
+from repro.config.parameters import SystemConfig
+from repro.core.machine import Machine
 from repro.obs import MachineMetrics, validate_snapshot
+from repro.obs.registry import Histogram
+from repro.sim.backends.model import model_core
+from repro.sync.barrier import CentralizedBarrier
+from repro.sync.ticket_lock import TicketLock
+from repro.workloads.barrier import run_barrier_workload
+from repro.workloads.locks import run_lock_workload
+from repro.workloads.warm import WarmCache
 
 
 def run_counter_workload(machine):
@@ -73,9 +85,6 @@ def test_gauges_read_live_kernel_state(machine4):
 
 def test_metrics_do_not_change_timing():
     """Observer-effect check: attaching metrics leaves cycles identical."""
-    from repro.config.parameters import SystemConfig
-    from repro.core.machine import Machine
-
     def run(with_metrics):
         machine = Machine(SystemConfig.table1(4))
         if with_metrics:
@@ -89,3 +98,120 @@ def test_metrics_do_not_change_timing():
 def test_unattached_machine_pays_nothing(machine4):
     run_counter_workload(machine4)
     assert machine4.obs is None
+
+
+# ---------------------------------------------------------------------------
+# pulled traffic histograms
+# ---------------------------------------------------------------------------
+
+class PushTrafficHistograms:
+    """Reference coding of ``network.msg_hops`` / ``network.msg_bytes``:
+    a send hook that observes every injected packet.  The snapshot
+    derives both histograms from the fabric's traffic counters instead;
+    the two must agree exactly."""
+
+    def __init__(self) -> None:
+        self.hops = Histogram("network.msg_hops")
+        self.sizes = Histogram("network.msg_bytes")
+
+    def __call__(self, msg, hops: int) -> None:
+        self.hops.observe(hops)
+        self.sizes.observe(msg.size_bytes)
+
+
+def run_sync_workload(machine, workload: str, mechanism) -> None:
+    if workload == "barrier":
+        barrier = CentralizedBarrier(machine, mechanism)
+
+        def thread(proc):
+            for _ in range(3):
+                yield from barrier.wait(proc)
+    else:
+        lock = TicketLock(machine, mechanism)
+
+        def thread(proc):
+            for _ in range(2):
+                yield from lock.acquire(proc)
+                yield from proc.delay(50)
+                yield from lock.release(proc)
+    machine.run_threads(thread)
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism),
+                         ids=lambda m: m.value)
+@pytest.mark.parametrize("workload", ["barrier", "lock"])
+def test_derived_traffic_histograms_match_the_push_reference(workload,
+                                                             mechanism):
+    machine = Machine(SystemConfig.table1(16))
+    obs = MachineMetrics.attach(machine)
+    push = PushTrafficHistograms()
+    machine.net.subscribe_send(push)
+    run_sync_workload(machine, workload, mechanism)
+    hists = obs.snapshot()["histograms"]
+    assert push.hops.max > 0 and push.hops.buckets.get(0)   # remote + local
+    assert hists["network.msg_hops"] == push.hops.as_dict()
+    assert hists["network.msg_bytes"] == push.sizes.as_dict()
+
+
+def test_attach_subscribes_no_send_hook(machine4):
+    MachineMetrics.attach(machine4)
+    assert machine4.net._send_hooks == []
+
+
+def test_detach_unhooks_the_machine(machine4):
+    obs = MachineMetrics.attach(machine4)
+    run_counter_workload(machine4)
+    obs.detach()
+    assert machine4.obs is None
+    assert obs.snapshot()["counters"]["network.messages"] > 0
+
+
+METERED_POINTS = {
+    "barrier": lambda mech, **kw: run_barrier_workload(
+        16, mech, episodes=2, warmup_episodes=1, metrics=True,
+        metrics_interval=500, **kw),
+    "lock": lambda mech, **kw: run_lock_workload(
+        16, mech, acquisitions_per_cpu=2, warmup_per_cpu=1, metrics=True,
+        metrics_interval=500, **kw),
+}
+
+
+@pytest.mark.parametrize("mechanism", list(Mechanism),
+                         ids=lambda m: m.value)
+@pytest.mark.parametrize("workload", sorted(METERED_POINTS))
+def test_pooled_metered_point_equals_a_fresh_one(workload, mechanism):
+    point = METERED_POINTS[workload]
+    fresh = point(mechanism)
+    cache = WarmCache()
+    pooled = point(mechanism, warm_cache=cache)
+    assert len(cache.pool) == 1            # the machine came from the pool
+    # an unmetered warm point on the same machine, then metered again
+    if workload == "barrier":
+        run_barrier_workload(16, mechanism, episodes=2, warm_cache=cache)
+    else:
+        run_lock_workload(16, mechanism, acquisitions_per_cpu=2,
+                          warm_cache=cache)
+    again = point(mechanism, warm_cache=cache)
+    assert len(cache.pool) == 1
+    for res in (pooled, again):
+        assert res.metrics == fresh.metrics
+        assert (res.total_cycles, res.events_dispatched) == \
+            (fresh.total_cycles, fresh.events_dispatched)
+
+
+@pytest.mark.skipif(model_core() is None,
+                    reason="compiled accel model paths not armed")
+@pytest.mark.parametrize("mechanism", list(Mechanism),
+                         ids=lambda m: m.value)
+@pytest.mark.parametrize("workload", sorted(METERED_POINTS))
+def test_metered_accel_keeps_the_compiled_send(workload, mechanism):
+    """Metrics subscribe no send hook, so a metered accel machine keeps
+    the compiled send path, and its snapshot equals the reference one."""
+    machine = Machine(SystemConfig.table1(4, kernel_backend="accel"))
+    assert type(machine.net).__name__ == "AccelNetwork"
+    MachineMetrics.attach(machine)
+    assert machine.net._send_hooks == []
+    point = METERED_POINTS[workload]
+    accel = point(mechanism, backend="accel")
+    reference = point(mechanism, backend="reference")
+    assert accel.metrics == reference.metrics

@@ -352,6 +352,36 @@ def test_send_surfaces_a_failed_attribute_read(backend, name):
                    for entry in err.traceback)
 
 
+#: traffic counters ``TrafficStats`` always sets and a remote ``send``
+#: updates
+SEND_STATS_ATTRIBUTES = ("messages", "bytes", "hop_bytes", "hop_counts")
+
+
+@pytest.mark.parametrize("name", SEND_STATS_ATTRIBUTES)
+def test_send_surfaces_a_failed_stats_read(backend, name):
+    """A traffic counter missing from ``net.stats`` is an error on a
+    remote send, the same one on every backend.  The compiled ``send``
+    raises it itself instead of handing the message to its Python twin.
+    (The counter is deleted rather than made flaky: a ``TrafficStats``
+    subclass would be a precondition miss of its own.)"""
+    from repro.config.parameters import SystemConfig
+    from repro.core.machine import Machine
+    from repro.network.message import Message, MessageKind
+    from repro.sim.backends.model import model_core
+
+    machine = Machine(SystemConfig.table1(4, kernel_backend=backend))
+    net = machine.net
+    net._route(0, 1)                  # warm: no cold-route fallback
+    delattr(net.stats, name)
+    msg = Message(MessageKind.GET_S, 0, 1, addr=0)
+    with pytest.raises(AttributeError, match=f"attribute '{name}'") as err:
+        net.send(msg)
+    if backend == "accel" and model_core() is not None:
+        # no Python frame of Network.send or TrafficStats.record
+        assert all(entry.name not in ("send", "_route", "record")
+                   for entry in err.traceback)
+
+
 @pytest.mark.parametrize("path, name", [("reply", "sim"),
                                         ("request", "_handlers")])
 def test_deliver_surfaces_a_failed_attribute_read(backend, path, name):

@@ -8,6 +8,12 @@ the traced heap would climb replay after replay (by ~500 objects and
 acyclic).  After the first replay — which may still create lazily built
 state — both must stay flat within a small constant; the slack covers
 the interpreter's free lists, which keep a few freed blocks traced.
+
+Metered points skip the warm contexts but draw their machine from the
+same pool, so they must reclaim everything too: the machine is reused,
+and the observers are detached when the run ends (a machine left
+holding its ``MachineMetrics``, which points back at the machine, would
+be a cycle).
 """
 
 from __future__ import annotations
@@ -40,11 +46,21 @@ def lock_point(cache, backend):
                       warmup_per_cpu=1, warm_cache=cache, backend=backend)
 
 
-@pytest.mark.parametrize("point", [barrier_point, lock_point],
-                         ids=["barrier", "lock"])
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_warm_replays_do_not_grow_the_heap(backend, point):
-    cache = WarmCache()
+def metered_barrier_point(cache, backend):
+    run_barrier_workload(16, Mechanism.AMO, episodes=2, warmup_episodes=1,
+                         metrics=True, metrics_interval=500,
+                         warm_cache=cache, backend=backend)
+
+
+def metered_lock_point(cache, backend):
+    run_lock_workload(16, Mechanism.LLSC, acquisitions_per_cpu=2,
+                      warmup_per_cpu=1, metrics=True, metrics_interval=500,
+                      warm_cache=cache, backend=backend)
+
+
+def heap_growth(point, cache, backend) -> list[tuple[int, int]]:
+    """(objects, traced bytes) growth after each of ``REPLAYS`` calls of
+    ``point`` past the first, with the cyclic collector off."""
     point(cache, backend)                # build, warm up, checkpoint
     gc.collect()
     enabled = gc.isenabled()
@@ -63,6 +79,29 @@ def test_warm_replays_do_not_grow_the_heap(backend, point):
         tracemalloc.stop()
         if enabled:
             gc.enable()
+    return samples
+
+
+@pytest.mark.parametrize("point", [barrier_point, lock_point],
+                         ids=["barrier", "lock"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_warm_replays_do_not_grow_the_heap(backend, point):
+    cache = WarmCache()
+    samples = heap_growth(point, cache, backend)
     assert cache.hits == REPLAYS + 1
+    assert max(n for n, _ in samples) <= OBJECT_SLACK, samples
+    assert max(b for _, b in samples) <= BYTES_SLACK, samples
+
+
+@pytest.mark.parametrize("point", [metered_barrier_point,
+                                   metered_lock_point],
+                         ids=["barrier", "lock"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_metered_points_do_not_grow_the_heap(backend, point):
+    cache = WarmCache()
+    samples = heap_growth(point, cache, backend)
+    assert len(cache.pool) == 1 and cache.hits == 0
+    (machine, _pristine), = cache.pool._entries.values()
+    assert machine.obs is None and machine.tracer is None
     assert max(n for n, _ in samples) <= OBJECT_SLACK, samples
     assert max(b for _, b in samples) <= BYTES_SLACK, samples

@@ -19,6 +19,12 @@ makes the check prove that snapshot-restored machines replay
 cycle-for-cycle identically to the fresh-built goldens::
 
     PYTHONPATH=src python tools/capture_parity.py --verify --warm
+
+``--metrics`` attaches the observability layer to every run.  With
+``--warm`` too, the metered runs draw their machines from the warm
+cache's pool (metered runs simulate their own warm-up), which proves a
+pooled machine carries no state or observer from one run into the
+next.
 """
 
 from __future__ import annotations
@@ -71,9 +77,6 @@ def main(argv=None) -> int:
     if args.metrics and not args.verify:
         parser.error("--metrics is verify-only: goldens are captured "
                      "unmetered (metrics must not move them)")
-    if args.metrics and args.warm:
-        parser.error("--metrics and --warm are mutually exclusive "
-                     "(metered runs bypass the warm cache)")
     if args.backend not in (None, "reference") and not args.verify:
         parser.error("--backend is verify-only: goldens are captured on "
                      "the reference backend (the single source of truth "
