@@ -58,6 +58,11 @@ def _fill_done_of(mshr: dict) -> Signal:
     return sig
 
 
+def backoff_rng(cpu_id: int) -> random.Random:
+    """A fresh LL/SC retry-backoff jitter stream for ``cpu_id``."""
+    return random.Random(0x9E3779B9 ^ (cpu_id * 2654435761))
+
+
 class CacheController:
     """Cache hierarchy + coherence client for one CPU."""
 
@@ -91,8 +96,10 @@ class CacheController:
         self.sc_failures = 0
         self.sc_successes = 0
         self.spin_wakeups = 0
-        # deterministic per-CPU jitter source for LL/SC retry backoff
-        self._backoff_rng = random.Random(0x9E3779B9 ^ (cpu_id * 2654435761))
+        # deterministic per-CPU jitter source for LL/SC retry backoff,
+        # created on the first retry: most CPUs never retry, and each
+        # Random carries ~2.5 KB of state (~24 KB once snapshotted)
+        self._backoff_rng: Optional[random.Random] = None
         #: interventions answered from the writeback buffer (race where
         #: the home forwarded to us after we evicted but before our
         #: WRITEBACK retired)
@@ -258,7 +265,10 @@ class CacheController:
                 return old
             ceiling = min(base << min(attempt, 8),
                           self.config.processor.llsc_backoff_cap_cycles)
-            yield Timeout(base + self._backoff_rng.randrange(ceiling))
+            rng = self._backoff_rng
+            if rng is None:
+                rng = self._backoff_rng = backoff_rng(self.cpu_id)
+            yield Timeout(base + rng.randrange(ceiling))
             attempt += 1
 
     # ------------------------------------------------------------------

@@ -21,6 +21,7 @@ serialization), active memory unit, and the active-message endpoint.
 
 from __future__ import annotations
 
+import gc
 from typing import Callable, Optional
 
 from repro.activemsg.endpoint import ActiveMessageEndpoint
@@ -337,6 +338,12 @@ class Machine:
 
         Returns the per-thread results in CPU order.  Raises on deadlock
         (event queue drained with threads still blocked).
+
+        Python's cyclic collector is paused while the threads run and
+        re-enabled on the way out, however the run ends.  The event path
+        leaves no cyclic garbage (tests/sim/test_garbage_free.py), so a
+        collection here would only rescan the long-lived machine heap.
+        A caller that disabled the collector itself keeps it disabled.
         """
         targets = self.cpus if cpus is None else [self.cpus[i] for i in cpus]
         def _main():
@@ -347,8 +354,15 @@ class Machine:
             # clock past this point; completion time is captured here.
             self.last_completion_time = self.sim.now
             return results
-        return self.sim.run_process(_main(), name="run_threads",
-                                    max_events=max_events)
+        collecting = gc.isenabled()
+        if collecting:
+            gc.disable()
+        try:
+            return self.sim.run_process(_main(), name="run_threads",
+                                        max_events=max_events)
+        finally:
+            if collecting:
+                gc.enable()
 
     # ------------------------------------------------------------------
     # snapshot / warm-start
@@ -381,12 +395,17 @@ class Machine:
         """Directory/cache cross-checks; used liberally by the test suite."""
         from repro.cache.state import LineState
         from repro.coherence.directory import DirState
+        # exclusive L2 holders of each line, in CPU order: one pass over
+        # the resident lines instead of a probe per (entry, CPU)
+        exclusive: dict[int, list[int]] = {}
+        for p in self.cpus:
+            for ln in p.controller.l2.resident_lines():
+                if ln.state is LineState.EXCLUSIVE:
+                    exclusive.setdefault(ln.line_addr, []).append(p.cpu_id)
         for hub in self.hubs:
             for ent in hub.home_engine.directory.known_entries():
                 ent.check()
-                owners = [p.cpu_id for p in self.cpus
-                          if (ln := p.controller.l2.probe(ent.line_addr))
-                          is not None and ln.state is LineState.EXCLUSIVE]
+                owners = exclusive.get(ent.line_addr, [])
                 if ent.state is DirState.EXCLUSIVE:
                     assert owners == [ent.owner], (
                         f"{ent!r}: cache owners {owners}")

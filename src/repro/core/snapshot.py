@@ -5,9 +5,10 @@ builds a fresh :class:`~repro.core.machine.Machine` and re-simulates the
 warm-up episodes before measuring.  :class:`MachineSnapshot` checkpoints
 *all* mutable simulation state of a machine at quiescence — kernel clock
 and event counter, backing memory, caches and their LRU clocks, directory
-entries, AMU/MAO state, active-message dedup tables, per-CPU RNG streams,
-every resource's utilization counters — so the warmed machine can be
-rewound and re-run any number of times.  A restored run is
+entries, AMU/MAO state, active-message dedup tables, per-CPU RNG streams
+(``None`` for a CPU that never retried an LL/SC, whose RNG is not yet
+created), every resource's utilization counters — so the warmed machine
+can be rewound and re-run any number of times.  A restored run is
 **cycle-for-cycle identical** to a fresh build+warm+run of the same
 configuration; the determinism-parity suite pins this with golden
 fingerprints at 32 and 512 CPUs.
@@ -32,6 +33,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.amu.cache import AmuCacheEntry
 from repro.cache.line import CacheLine
+from repro.coherence.client import backoff_rng
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config.parameters import SystemConfig
@@ -195,7 +197,9 @@ class MachineSnapshot:
             _cache_state(ctrl.l1), _cache_state(ctrl.l2),
             ctrl._reservation, meta,
             ctrl.sc_failures, ctrl.sc_successes, ctrl.spin_wakeups,
-            ctrl.wb_race_interventions, ctrl._backoff_rng.getstate())
+            ctrl.wb_race_interventions,
+            None if ctrl._backoff_rng is None
+            else ctrl._backoff_rng.getstate())
 
     # ------------------------------------------------------------------
     def restore(self) -> None:
@@ -314,7 +318,13 @@ class MachineSnapshot:
             # get-or-create: a pooled machine restored across workloads
             # may lack meta for lines only this snapshot's run spins on
             ctrl._line_meta(line).version = version
-        ctrl._backoff_rng.setstate(rng_state)
+        if rng_state is None:
+            ctrl._backoff_rng = None
+        else:
+            rng = ctrl._backoff_rng
+            if rng is None:
+                rng = ctrl._backoff_rng = backoff_rng(proc.cpu_id)
+            rng.setstate(rng_state)
 
 
 # ----------------------------------------------------------------------

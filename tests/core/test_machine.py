@@ -99,6 +99,66 @@ def test_coherence_invariant_checker_catches_corruption(machine4):
         machine4.check_coherence_invariants()
 
 
+def _line_of(machine, addr):
+    """(directory entry, {cpu: L2 line}) for the line holding ``addr``."""
+    from repro.mem.address import home_of, line_base
+    ent = machine.hubs[home_of(addr)].home_engine.directory.entry(
+        line_base(addr))
+    copies = {p.cpu_id: ln for p in machine.cpus
+              if (ln := p.controller.l2.probe(addr)) is not None}
+    return ent, copies
+
+
+def test_invariant_checker_catches_exclusive_copy_under_shared_entry(
+        machine4):
+    from repro.cache.state import LineState
+    from repro.coherence.directory import DirState
+    v = machine4.alloc("x", home_node=0)
+
+    def thread(proc):
+        yield from proc.load(v.addr)
+
+    machine4.run_threads(thread, cpus=[1, 2])
+    machine4.check_coherence_invariants()
+    ent, copies = _line_of(machine4, v.addr)
+    assert ent.state is DirState.SHARED and sorted(copies) == [1, 2]
+    copies[2].state = LineState.EXCLUSIVE
+    with pytest.raises(AssertionError,
+                       match=r"unexpected exclusive copies \[2\]"):
+        machine4.check_coherence_invariants()
+
+
+def test_invariant_checker_catches_owner_mismatch(machine4):
+    from repro.cache.state import LineState
+    v = machine4.alloc("x", home_node=0)
+
+    def thread(proc):
+        yield from proc.store(v.addr, 1)
+
+    machine4.run_threads(thread, cpus=[1])
+    machine4.check_coherence_invariants()
+    ent, copies = _line_of(machine4, v.addr)
+    assert ent.owner == 1 and copies[1].state is LineState.EXCLUSIVE
+    ent.owner = 3
+    with pytest.raises(AssertionError, match=r"cache owners \[1\]"):
+        machine4.check_coherence_invariants()
+
+
+def test_invariant_checker_catches_two_exclusive_holders(machine4):
+    from repro.cache.state import LineState
+    v = machine4.alloc("x", home_node=0)
+
+    def thread(proc):
+        yield from proc.store(v.addr, 1)
+
+    machine4.run_threads(thread, cpus=[2])
+    machine4.check_coherence_invariants()
+    machine4.cpus[0].controller.l2.install(v.addr, LineState.EXCLUSIVE,
+                                           {v.addr: 1})
+    with pytest.raises(AssertionError, match=r"cache owners \[0, 2\]"):
+        machine4.check_coherence_invariants()
+
+
 def test_default_config_is_table1_smallest():
     m = Machine()
     assert m.n_processors == 4

@@ -166,6 +166,63 @@ def test_sanitizer_clean_on_restored_machine():
 
 
 # ----------------------------------------------------------------------
+# lazily created LL/SC backoff RNGs
+# ----------------------------------------------------------------------
+def _rng_states(snap):
+    """Per-CPU backoff RNG states held by ``snap`` (None = not created)."""
+    return [state[-1] for state in snap.cpus]
+
+
+def _lock_point(mech, warm_cache):
+    return run_lock_workload(16, mech, acquisitions_per_cpu=2,
+                             warmup_per_cpu=1, warm_cache=warm_cache)
+
+
+def _summary(result):
+    return (result.total_cycles, result.events_dispatched,
+            dict(result.traffic.messages))
+
+
+def test_pristine_snapshot_holds_no_rng_state():
+    pool = MachinePool()
+    machine = pool.acquire(SystemConfig.table1(16))
+    (_, pristine), = pool._entries.values()
+    assert _rng_states(pristine) == [None] * 16
+    assert all(p.controller._backoff_rng is None for p in machine.cpus)
+
+
+@pytest.mark.parametrize(
+    "mech", [m for m in MECHS if m is not Mechanism.LLSC],
+    ids=[m.value for m in MECHS if m is not Mechanism.LLSC])
+def test_non_llsc_point_snapshot_holds_no_rng_state(mech):
+    warm = WarmCache()
+    run_barrier_workload(16, mech, episodes=2, warmup_episodes=1,
+                         warm_cache=warm)
+    _lock_point(mech, warm)
+    assert len(warm) == 2
+    for ctx in warm._contexts.values():
+        assert _rng_states(ctx.snapshot) == [None] * 16
+
+
+def test_llsc_and_amo_points_share_a_pooled_machine():
+    """An LL/SC point after an AMO point, and the AMO point after the
+    LL/SC one, each equal a fresh build: restore drops RNGs the
+    checkpoint never had and re-creates the ones it did."""
+    fresh = {m: _summary(_lock_point(m, None))
+             for m in (Mechanism.AMO, Mechanism.LLSC)}
+    warm = WarmCache()
+    for mech in (Mechanism.LLSC, Mechanism.AMO,    # misses: pool restores
+                 Mechanism.LLSC, Mechanism.AMO):   # hits: warm restores
+        assert _summary(_lock_point(mech, warm)) == fresh[mech], mech
+    assert len(warm.pool) == 1
+    assert warm.hits == 2 and warm.misses == 2
+    states = {key[2]: _rng_states(ctx.snapshot)
+              for key, ctx in warm._contexts.items()}
+    assert states[Mechanism.AMO] == [None] * 16
+    assert any(st is not None for st in states[Mechanism.LLSC])
+
+
+# ----------------------------------------------------------------------
 # machine pool
 # ----------------------------------------------------------------------
 def test_pool_memoizes_per_config():

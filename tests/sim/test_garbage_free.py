@@ -9,13 +9,20 @@ moment it is done, so that Python's cyclic collector never has to find
 it (docs/performance.md, "Garbage-free hot path").
 
 Each check runs 32-CPU flat-barrier and ticket-lock points for every
-mechanism with the cyclic collector off, keeps the machines alive
-through a :class:`~repro.workloads.warm.WarmCache`, and then asks the
-collector, under ``gc.DEBUG_SAVEALL``, what it would have freed.
+mechanism, and 16-CPU queue-lock points for every supported
+(algorithm, mechanism) pair, with the cyclic collector off, keeps the
+machines alive through a :class:`~repro.workloads.warm.WarmCache`, and
+then asks the collector, under ``gc.DEBUG_SAVEALL``, what it would have
+freed.
+
+Because of this invariant, :meth:`Machine.run_threads` pauses the
+collector while the threads run; the contract tests at the end pin when
+it is paused and that it always comes back.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import types
 
@@ -27,10 +34,13 @@ from repro.config.parameters import SystemConfig
 from repro.core.machine import Machine, _EgressWave
 from repro.network.message import Message, MessageKind
 from repro.sim.backends import accel_implementation
+from repro.sim.kernel import SimulationError
 from repro.sim.primitives import Signal
 from repro.sim.process import Process
 from repro.workloads.barrier import run_barrier_workload
 from repro.workloads.locks import run_lock_workload
+from repro.workloads.qlocks import (QLOCK_TYPES, qlock_supported,
+                                    run_qlock_workload)
 from repro.workloads.warm import WarmCache
 
 
@@ -82,6 +92,12 @@ def cyclic_garbage(run) -> tuple:
     return kept, garbage
 
 
+def leaked_per_event_types(garbage) -> list[str]:
+    per_event = per_event_types()
+    return sorted({type(obj).__qualname__ for obj in garbage
+                   if isinstance(obj, per_event)})
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_barrier_and_lock_points_leave_no_cyclic_garbage(backend):
     def run():
@@ -96,9 +112,29 @@ def test_barrier_and_lock_points_leave_no_cyclic_garbage(backend):
 
     cache, garbage = cyclic_garbage(run)
     assert len(cache) == 2 * len(Mechanism)
-    per_event = per_event_types()
-    leaked = sorted({type(obj).__qualname__ for obj in garbage
-                     if isinstance(obj, per_event)})
+    leaked = leaked_per_event_types(garbage)
+    assert not leaked, (
+        f"per-event objects left for the cyclic collector on {backend}: "
+        f"{leaked}")
+
+
+QLOCK_POINTS = [(lock_type, mech) for lock_type in QLOCK_TYPES
+                for mech in Mechanism if qlock_supported(lock_type, mech)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_queue_lock_points_leave_no_cyclic_garbage(backend):
+    def run():
+        cache = WarmCache()
+        for lock_type, mech in QLOCK_POINTS:
+            run_qlock_workload(16, mech, lock_type=lock_type,
+                               acquisitions_per_cpu=2, warmup_per_cpu=1,
+                               warm_cache=cache, backend=backend)
+        return cache
+
+    cache, garbage = cyclic_garbage(run)
+    assert len(cache) == len(QLOCK_POINTS)
+    leaked = leaked_per_event_types(garbage)
     assert not leaked, (
         f"per-event objects left for the cyclic collector on {backend}: "
         f"{leaked}")
@@ -137,3 +173,63 @@ def test_finished_process_drops_its_resume_event(backend):
     with pytest.raises(ValueError, match="boom"):
         sim.run()
     assert bad.done and bad._rn is None
+
+
+# ----------------------------------------------------------------------
+# run_threads pauses the collector, and always gives it back
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """Run the body with the cyclic collector on or off, then put back
+    whatever state it had."""
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def small_machine(backend: str) -> Machine:
+    return Machine(SystemConfig.table1(4, kernel_backend=backend))
+
+
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["caller-on", "caller-off"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_collector_is_paused_inside_run_threads(backend, enabled):
+    """Off inside every thread; afterwards, back to the caller's state."""
+    machine = small_machine(backend)
+    seen = []
+
+    def thread(proc):
+        yield from proc.delay(10)
+        seen.append(gc.isenabled())
+
+    with collector(enabled):
+        machine.run_threads(thread)
+        assert gc.isenabled() is enabled
+    assert seen == [False] * machine.n_processors
+
+
+def deadlocks(proc):
+    yield Signal().wait()
+
+
+def runs_forever(proc):
+    while True:
+        yield from proc.delay(1)
+
+
+@pytest.mark.parametrize("thread, max_events, error", [
+    (deadlocks, None, "deadlock"),
+    (runs_forever, 100, "max_events=100"),
+], ids=["deadlock", "max-events"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_collector_comes_back_after_a_failed_run(backend, thread,
+                                                 max_events, error):
+    machine = small_machine(backend)
+    with collector(True):
+        with pytest.raises(SimulationError, match=error):
+            machine.run_threads(thread, max_events=max_events)
+        assert gc.isenabled()
