@@ -106,10 +106,6 @@ class HomeEngine:
         else:
             raise RuntimeError(f"home engine got unexpected {msg!r}")
 
-    def _dir_delay(self) -> int:
-        return self.config.hub.hub_to_cpu(
-            self.config.hub.directory_occupancy_hub_cycles)
-
     def _count_invalidations(self, fanout: int) -> None:
         """Account one invalidation wave of ``fanout`` targets."""
         self.invalidations_sent += fanout

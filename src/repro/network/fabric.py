@@ -23,7 +23,7 @@ from typing import Callable, Optional
 from repro.config.parameters import NetworkConfig
 from repro.network.message import Message
 from repro.network.stats import TrafficStats
-from repro.network.topology import shared_topology
+from repro.network.topology import FatTreeTopology
 from repro.sim.kernel import Simulator
 
 
@@ -34,9 +34,9 @@ class Network:
                  config: Optional[NetworkConfig] = None) -> None:
         self.sim = sim
         self.config = config or NetworkConfig()
-        # interned: immutable distance tables shared across machines of
-        # the same shape (see repro.network.topology.shared_topology)
-        self.topology = shared_topology(n_nodes, radix=self.config.router_radix)
+        # tableless (hops are computed on demand), so each Network owns
+        # one; _route memoizes the pairs actually used
+        self.topology = FatTreeTopology(n_nodes, radix=self.config.router_radix)
         self.stats = TrafficStats()
         # node -> delivery handler; dense, so a list beats a dict probe
         self._handlers: list[Optional[Callable[[Message], None]]] = \
@@ -63,7 +63,7 @@ class Network:
         self._inj_seq = [0] * n_nodes
         # (src, dst) -> (hops, base_latency): route metrics are static,
         # so the send fast path pays one dict probe instead of a
-        # topology matrix walk plus a latency recomputation per packet
+        # hop computation plus a latency recomputation per packet
         self._route_cache: dict[tuple[int, int], tuple[int, int]] = {}
 
     @property

@@ -8,19 +8,22 @@ eight-fold per level until a single root spans the machine.
 Hop counting: node→router and router→router links are one hop each, so
 two nodes under the same leaf router are 2 hops apart, under the same
 level-1 router 4 hops, and so on — giving the 100-cycle-per-hop latencies
-their distance structure.
+their distance structure.  Hops are computed on demand from the node ids
+(two nodes share their level-``k`` router iff ``node // radix**(k+1)``
+matches), so a topology is a few ints and no distance table;
+:class:`~repro.network.fabric.Network` memoizes the pairs it routes.
 
-The topology is also exposed as a :mod:`networkx` graph for analysis and
-tests (symmetry, triangle inequality, diameter).
+:meth:`FatTreeTopology.as_graph` exposes the tree as a :mod:`networkx`
+graph for analysis and tests; networkx is imported only there.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import networkx as nx
-import numpy as np
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class FatTreeTopology:
@@ -44,8 +47,7 @@ class FatTreeTopology:
     6
     """
 
-    __slots__ = ("n_nodes", "radix", "routers_per_level", "_hops",
-                 "_hops_rows")
+    __slots__ = ("n_nodes", "radix", "routers_per_level")
 
     def __init__(self, n_nodes: int, radix: int = 8) -> None:
         if n_nodes < 1:
@@ -62,10 +64,6 @@ class FatTreeTopology:
             self.routers_per_level.append(count)
             if count == 1:
                 break
-        self._hops = self._build_distance_matrix()
-        # plain nested lists: per-pair lookups on the Network.send fast
-        # path cost a list index, not a numpy scalar extraction
-        self._hops_rows: list[list[int]] = self._hops.tolist()
 
     # ------------------------------------------------------------------
     @property
@@ -76,7 +74,7 @@ class FatTreeTopology:
     @property
     def diameter_hops(self) -> int:
         """Longest node-to-node distance in hops."""
-        return int(self._hops.max()) if self.n_nodes > 1 else 0
+        return 2 * self.n_levels if self.n_nodes > 1 else 0
 
     def router_of(self, node: int, level: int) -> int:
         """Index of the level-``level`` ancestor router of ``node``."""
@@ -85,29 +83,28 @@ class FatTreeTopology:
         return node // (self.radix ** (level + 1))
 
     def hops(self, src: int, dst: int) -> int:
-        """Hop count between two nodes (0 when src == dst: on-die)."""
-        return self._hops_rows[src][dst]
+        """Hop count between two nodes (0 when src == dst: on-die).
 
-    def _build_distance_matrix(self) -> np.ndarray:
-        n = self.n_nodes
-        hops = np.zeros((n, n), dtype=np.int16)
-        ids = np.arange(n)
-        # Lowest common ancestor level via integer division: two nodes
-        # share their level-k router iff node // radix**(k+1) matches.
-        for level in range(self.n_levels):
-            stride = self.radix ** (level + 1)
-            same = (ids[:, None] // stride) == (ids[None, :] // stride)
-            # first time a pair becomes "same", its LCA is this level
-            unset = hops == 0
-            newly = same & unset
-            hops[newly] = 2 * (level + 1)
-        np.fill_diagonal(hops, 0)
+        ``2 * k`` for the first ``k`` at which ``src // radix**k`` and
+        ``dst // radix**k`` agree, i.e. up to their lowest common router
+        at level ``k - 1`` and back down.
+        """
+        if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):
+            raise ValueError(f"nodes out of range: {src}, {dst}")
+        radix = self.radix
+        hops = 0
+        while src != dst:
+            src //= radix
+            dst //= radix
+            hops += 2
         return hops
 
     # ------------------------------------------------------------------
     def as_graph(self) -> nx.Graph:
         """The topology as a networkx graph (nodes: ``("node", i)`` /
         ``("router", level, j)``) for analysis and visualization."""
+        import networkx as nx
+
         g = nx.Graph()
         for i in range(self.n_nodes):
             g.add_node(("node", i))
@@ -118,18 +115,26 @@ class FatTreeTopology:
                            ("router", level, j // self.radix))
         return g
 
-    @lru_cache(maxsize=None)
     def average_hops(self) -> float:
         """Mean hop distance over all ordered distinct pairs."""
-        if self.n_nodes == 1:
+        n = self.n_nodes
+        if n == 1:
             return 0.0
-        total = self._hops.sum()
-        return float(total) / (self.n_nodes * (self.n_nodes - 1))
+        # same_k: ordered distinct pairs under one level-(k-1) router
+        # (blocks of radix**k nodes, the last one possibly short); the
+        # pairs first joined at that level are 2*k hops apart
+        total = same_prev = 0
+        for k in range(1, self.n_levels + 1):
+            block = self.radix ** k
+            full, rest = divmod(n, block)
+            same_k = full * block * (block - 1) + rest * (rest - 1)
+            total += 2 * k * (same_k - same_prev)
+            same_prev = same_k
+        return total / (n * (n - 1))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"FatTreeTopology(n_nodes={self.n_nodes}, radix={self.radix}, "
                 f"levels={self.n_levels})")
-
 
     def path_links(self, src: int, dst: int) -> list[tuple]:
         """Directed links traversed from ``src`` to ``dst``, in order.
@@ -162,20 +167,3 @@ class FatTreeTopology:
             links.append(("down", lvl, self.router_of(dst, lvl)))
         links.append(("node-down", dst))
         return links
-
-
-#: interned topologies, keyed by (n_nodes, radix).  A 512-node distance
-#: matrix plus its row-list mirror weighs megabytes; every Network for a
-#: given machine shape can share one immutable instance (nothing mutates
-#: a topology after construction), so sweeping many configurations or
-#: pooling machines pays the build cost once per shape per process.
-_SHARED: dict[tuple[int, int], FatTreeTopology] = {}
-
-
-def shared_topology(n_nodes: int, radix: int = 8) -> FatTreeTopology:
-    """Get-or-build the interned topology for ``(n_nodes, radix)``."""
-    key = (n_nodes, radix)
-    topo = _SHARED.get(key)
-    if topo is None:
-        topo = _SHARED[key] = FatTreeTopology(n_nodes, radix)
-    return topo

@@ -7,14 +7,18 @@ mean-centric tables of the paper.
 
 :func:`op_latency_stats` lifts a :class:`~repro.trace.TraceRecorder`'s
 spans into per-operation distributions.
+
+numpy is imported inside the methods that compute, so recording samples
+on a workload's hot path does not load it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class LatencyStats:
@@ -38,6 +42,8 @@ class LatencyStats:
 
     def _view(self) -> np.ndarray:
         if self._sorted is None:
+            import numpy as np
+
             self._sorted = np.sort(np.asarray(self._samples, dtype=float))
         return self._sorted
 
@@ -45,6 +51,8 @@ class LatencyStats:
     def mean(self) -> float:
         if not self._samples:
             raise ValueError("no samples")
+        import numpy as np
+
         return float(np.mean(self._samples))
 
     @property
@@ -56,11 +64,14 @@ class LatencyStats:
         return float(self._view()[-1])
 
     def percentile(self, q: float) -> float:
-        """q-th percentile (0..100), nearest-rank interpolation."""
+        """q-th percentile (0..100), linearly interpolated between the
+        two nearest ranks (numpy's default ``linear`` method)."""
         if not self._samples:
             raise ValueError("no samples")
         if not 0 <= q <= 100:
             raise ValueError(f"percentile {q} out of range")
+        import numpy as np
+
         return float(np.percentile(self._view(), q))
 
     @property
@@ -76,6 +87,8 @@ class LatencyStats:
         mean = self.mean
         if mean == 0:
             return 0.0
+        import numpy as np
+
         return float(np.std(self._samples) / mean)
 
     def summary(self) -> str:

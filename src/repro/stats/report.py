@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 
 class TableFormatter:
     """Build a text/Markdown table row by row.
@@ -75,6 +73,8 @@ def fit_linear(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, fl
 
     Used for the paper's AMO-barrier cost model ``t_o + t_p * P``.
     """
+    import numpy as np
+
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.size < 2:

@@ -1,5 +1,7 @@
 """Unit tests for the fat-tree topology."""
 
+import tracemalloc
+
 import networkx as nx
 import pytest
 
@@ -54,6 +56,47 @@ def test_router_of_levels():
     assert t.router_of(127, 2) == 0
     with pytest.raises(ValueError):
         t.router_of(128, 0)
+
+
+def test_hops_rejects_out_of_range_nodes():
+    t = FatTreeTopology(8)
+    for src, dst in [(-1, 0), (0, -1), (8, 0), (0, 8), (-1, -1), (8, 8)]:
+        with pytest.raises(ValueError):
+            t.hops(src, dst)
+
+
+SWEEP = [(n, radix) for n in (1, 2, 3, 7, 8, 9, 17, 64, 65, 100)
+         for radix in (2, 3, 4, 8, 16)]
+
+
+@pytest.mark.parametrize("n,radix", SWEEP)
+def test_hops_match_router_contention_paths(n, radix):
+    """Every hop count is the length of the link path the
+    router-contention model reserves."""
+    t = FatTreeTopology(n, radix=radix)
+    for a in range(n):
+        for b in range(n):
+            assert t.hops(a, b) == len(t.path_links(a, b))
+
+
+@pytest.mark.parametrize("n,radix", SWEEP)
+def test_diameter_and_average_are_pair_aggregates(n, radix):
+    t = FatTreeTopology(n, radix=radix)
+    pairs = [t.hops(a, b) for a in range(n) for b in range(n) if a != b]
+    assert t.diameter_hops == max(pairs, default=0)
+    expected = sum(pairs) / len(pairs) if pairs else 0.0
+    assert t.average_hops() == expected
+
+
+def test_topology_holds_no_distance_table():
+    tracemalloc.start()
+    try:
+        t = FatTreeTopology(2048, radix=8)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.hops(0, 2047) == 8
+    assert size < 1 << 20, f"{size} bytes traced for a 2048-node topology"
 
 
 def test_graph_matches_distance_matrix():
