@@ -13,11 +13,12 @@ Run:  python examples/message_anatomy.py
 
 from repro import Machine, SystemConfig
 from repro.config import Mechanism
+from repro.trace import TraceRecorder
 
 
 def run(mech: Mechanism) -> None:
     machine = Machine(SystemConfig.table1(8))
-    machine.net.stats.trace_enabled = True
+    tracer = TraceRecorder.attach(machine)
     var = machine.alloc("counter", home_node=3)
     participants = [0, 2, 4]        # CPU 0 of nodes 0, 1, 2
 
@@ -31,8 +32,11 @@ def run(mech: Mechanism) -> None:
     assert machine.peek(var.addr) == 3
 
     print(f"--- {mech.label}: one increment from each of 3 processors ---")
-    for entry in machine.net.stats.trace:
-        print(f"  {entry}")
+    for inst in tracer.instants:
+        a = inst.args
+        addr = f" a={a['addr']}" if a["addr"] is not None else ""
+        print(f"  [{inst.time:>8}] {inst.name:<22} "
+              f"{a['src']}->{a['dst']}{addr}")
     print(f"  => {machine.net.stats.total_messages} one-way network "
           f"messages (paper Figure 1: "
           f"{6 if mech is Mechanism.AMO else 18})")

@@ -132,7 +132,7 @@ class MachineSnapshot:
                     net.link_busy_cycles, dict(net._link_free_at),
                     dict(net._last_delivery), list(net._inj_seq))
         st = net.stats
-        self.stats = (st.snapshot(), st.trace_enabled, list(st.trace))
+        self.stats = st.snapshot()
 
         self.hubs = [self._capture_hub(hub) for hub in machine.hubs]
         self.cpus = [self._capture_cpu(proc) for proc in machine.cpus]
@@ -232,7 +232,7 @@ class MachineSnapshot:
         net._link_free_at = dict(link_free)
         net._last_delivery = dict(last_delivery)
         net._inj_seq = list(inj_seq)
-        counters, trace_enabled, trace = self.stats
+        counters = self.stats
         st = net.stats
         st.messages = type(st.messages)(counters.messages)
         st.bytes = type(st.bytes)(counters.bytes)
@@ -240,8 +240,6 @@ class MachineSnapshot:
         st.local_messages = type(st.local_messages)(counters.local_messages)
         st.hop_counts = dict(counters.hop_counts)
         st.retransmits = counters.retransmits
-        st.trace_enabled = trace_enabled
-        st.trace[:] = trace
 
         for hub, state in zip(machine.hubs, self.hubs):
             self._restore_hub(hub, state)

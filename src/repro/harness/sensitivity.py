@@ -5,8 +5,8 @@ A conclusion that only holds at the calibrated point would be an
 artifact; this module sweeps each knob across a wide range and reports
 how the headline ratio — AMO barrier speedup over LL/SC — responds.
 
-Used by ``benchmarks/bench_sensitivity.py`` and importable for ad-hoc
-exploration.
+``tests/integration/test_paper_claims.py`` asserts the speedup at every
+swept point; the module is also importable for ad-hoc exploration.
 """
 
 from __future__ import annotations

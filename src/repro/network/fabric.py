@@ -124,7 +124,7 @@ class Network:
         downlink* under request storms.
         """
         hops, base_latency = self._route(msg.src_node, msg.dst_node)
-        self.stats.record(self.sim.now, msg, hops)
+        self.stats.record(msg, hops)
         if self._send_hooks:
             for hook in self._send_hooks:
                 hook(msg, hops)
@@ -196,7 +196,7 @@ class Network:
         groups: dict[int, list] = {}
         for msg in messages:
             hops, base_latency = self._route(msg.src_node, msg.dst_node)
-            record(now, msg, hops)
+            record(msg, hops)
             if hooks:
                 for hook in hooks:
                     hook(msg, hops)

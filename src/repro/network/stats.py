@@ -8,36 +8,16 @@ message-anatomy counts only true network messages.  Remote packets are
 also counted per hop count (``hop_counts``); with the local packets as
 the hops-0 bucket, that is the whole per-packet hop distribution, which
 :mod:`repro.obs` reads at snapshot time instead of observing each send.
-
-A lightweight trace can be enabled per-run to capture the exact message
-sequence of small scenarios (the 18-vs-6 message comparison).
+The per-packet message sequence is :class:`~repro.trace.TraceRecorder`'s
+to capture.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.network.message import Message, MessageKind
-
-
-@dataclass
-class TraceEntry:
-    """One traced packet: when it was injected and what it was."""
-
-    time: int
-    kind: MessageKind
-    src_node: int
-    dst_node: int
-    addr: Optional[int]
-    is_retransmit: bool = False
-
-    def __repr__(self) -> str:  # pragma: no cover
-        addr = f" a={self.addr:#x}" if self.addr is not None else ""
-        rt = " RT" if self.is_retransmit else ""
-        return (f"[{self.time:>8}] {self.kind.value:<22} "
-                f"{self.src_node}->{self.dst_node}{addr}{rt}")
 
 
 @dataclass
@@ -52,11 +32,9 @@ class TrafficStats:
     #: costs about a third of a Counter's ``d[k] += 1``
     hop_counts: dict = field(default_factory=dict)
     retransmits: int = 0
-    trace_enabled: bool = False
-    trace: list[TraceEntry] = field(default_factory=list)
 
     # ------------------------------------------------------------------
-    def record(self, time: int, msg: Message, hops: int) -> None:
+    def record(self, msg: Message, hops: int) -> None:
         """Account one packet traversing ``hops`` network hops."""
         if hops == 0:
             self.local_messages[msg.kind] += 1
@@ -68,10 +46,6 @@ class TrafficStats:
             hop_counts[hops] = hop_counts.get(hops, 0) + 1
         if msg.is_retransmit:
             self.retransmits += 1
-        if self.trace_enabled:
-            self.trace.append(TraceEntry(time, msg.kind, msg.src_node,
-                                         msg.dst_node, msg.addr,
-                                         msg.is_retransmit))
 
     # ------------------------------------------------------------------
     @property
@@ -95,7 +69,7 @@ class TrafficStats:
         return sum(self.messages[k] for k in kinds)
 
     def snapshot(self) -> "TrafficStats":
-        """Deep copy of the counters (trace not copied)."""
+        """Deep copy of the counters."""
         return TrafficStats(
             messages=Counter(self.messages),
             bytes=Counter(self.bytes),
@@ -127,7 +101,6 @@ class TrafficStats:
         self.local_messages.clear()
         self.hop_counts.clear()
         self.retransmits = 0
-        self.trace.clear()
 
     def format_report(self) -> str:
         """Human-readable per-kind traffic table."""

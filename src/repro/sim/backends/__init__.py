@@ -76,7 +76,7 @@ _REGISTRY: Dict[str, Callable[..., Simulator]] = {}
 
 
 def register_backend(name: str, factory: Callable[..., Simulator]) -> None:
-    """Register ``factory(trace=...) -> Simulator`` under ``name``."""
+    """Register ``factory() -> Simulator`` under ``name``."""
     _REGISTRY[name] = factory
 
 
@@ -101,14 +101,14 @@ def resolve_backend_name(name: Optional[str] = None) -> str:
     return name
 
 
-def create_simulator(name: Optional[str] = None, trace: bool = False) -> Simulator:
+def create_simulator(name: Optional[str] = None) -> Simulator:
     """Instantiate the selected backend's simulator.
 
     ``name=None`` applies the selection order documented in the module
     docstring.  Every backend returns an object satisfying the full
     kernel contract of :class:`repro.sim.kernel.Simulator`.
     """
-    return _REGISTRY[resolve_backend_name(name)](trace=trace)
+    return _REGISTRY[resolve_backend_name(name)]()
 
 
 # ----------------------------------------------------------------------
@@ -146,8 +146,8 @@ def _load_accel() -> Callable[..., Simulator]:
     return _ACCEL_FACTORY
 
 
-def _accel_factory(trace: bool = False) -> Simulator:
-    return _load_accel()(trace=trace)
+def _accel_factory() -> Simulator:
+    return _load_accel()()
 
 
 def accel_implementation() -> str:

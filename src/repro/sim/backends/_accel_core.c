@@ -57,7 +57,7 @@ static PyObject *g_empty_str, *g_one;
 
 /* interned attribute names */
 static PyObject *s_done, *s_gen, *s_stack, *s_rn, *s_finish, *s_fail,
-    *s_arm, *s_throw, *s_name, *s_result, *s_delay, *s_qualname, *s_value,
+    *s_arm, *s_throw, *s_name, *s_result, *s_delay, *s_value,
     *s_append, *s_popleft, *s_dunder_name;
 
 /* ---- model fast-path state (armed lazily via arm_model) ---- */
@@ -89,7 +89,6 @@ static PyObject *s_sim, *s_send, *s_stats, *s_config, *s_handlers,
     *s_send_hooks, *s_delay_injector, *s_reorder_injector,
     *s_inj_seq, *s_route_cache, *s_deliver, *s_messages, *s_bytes,
     *s_hop_bytes, *s_hop_counts, *s_local_messages, *s_retransmits,
-    *s_trace_enabled,
     *s_router_contention, *s_link_contention, *s_is_reply,
     *s_packet_bytes, *s_try_fire, *s_pulse, *s_line_changed,
     *s_updates, *s_apply_word_update, *s_net, *s_carries_line,
@@ -330,12 +329,10 @@ typedef struct {
     long long now;
     long long events_dispatched;
     char running;
-    char trace;
     RingObject *ring;
     PyObject *buckets;     /* dict: when (int) -> list of events        */
     PyObject *phase;       /* dict: when (int) -> list of (key, event)  */
     PyObject *pool;        /* list of recycled bucket lists             */
-    PyObject *trace_log;   /* list of (time, description)               */
     PyObject *active;      /* set of live processes                     */
     PyObject *resume_cb;   /* the one stable bound ``_resume`` callable */
     long long *heap;       /* min-heap of distinct future timestamps    */
@@ -1366,26 +1363,6 @@ run_core(SimObject *self, PyObject *until_obj, PyObject *maxev_obj)
             }
             PyObject *fn = PyTuple_GET_ITEM(ev, 0);
             PyObject *fargs = PyTuple_GET_ITEM(ev, 1);
-            if (self->trace) {
-                PyObject *desc = PyObject_GetAttr(fn, s_qualname);
-                if (desc == NULL) {
-                    PyErr_Clear();
-                    desc = PyObject_Repr(fn);
-                }
-                PyObject *now_obj = desc ? PyLong_FromLongLong(self->now)
-                                         : NULL;
-                PyObject *entry = now_obj ? PyTuple_Pack(2, now_obj, desc)
-                                          : NULL;
-                int r = entry ? PyList_Append(self->trace_log, entry) : -1;
-                Py_XDECREF(entry);
-                Py_XDECREF(now_obj);
-                Py_XDECREF(desc);
-                if (r < 0) {
-                    Py_DECREF(ev);
-                    fail = 1;
-                    goto done;
-                }
-            }
             int ok;
             if (fn == self->resume_cb && PyTuple_CheckExact(fargs) &&
                     PyTuple_GET_SIZE(fargs) == 2) {
@@ -1648,10 +1625,6 @@ static PyGetSetDef Sim_getset[] = {
 };
 
 static PyMemberDef Sim_members[] = {
-    {"trace", T_BOOL, offsetof(SimObject, trace), 0,
-     "whether dispatches are appended to trace_log"},
-    {"trace_log", T_OBJECT_EX, offsetof(SimObject, trace_log), READONLY,
-     "list of (time, description) dispatch records (trace=True only)"},
     {"active_processes", T_OBJECT_EX, offsetof(SimObject, active), READONLY,
      "live (unfinished) processes, for leak diagnostics in tests"},
     {"_ring", T_OBJECT_EX, offsetof(SimObject, ring), READONLY,
@@ -1689,14 +1662,12 @@ static PyMethodDef Sim_methods[] = {
 static int
 Sim_init(SimObject *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"trace", NULL};
-    int trace = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|p", kwlist, &trace))
+    static char *kwlist[] = {NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "", kwlist))
         return -1;
     self->now = 0;
     self->events_dispatched = 0;
     self->running = 0;
-    self->trace = (char)trace;
     RingObject *ring = ring_new();
     if (ring == NULL)
         return -1;
@@ -1714,10 +1685,6 @@ Sim_init(SimObject *self, PyObject *args, PyObject *kwds)
     if (tmp == NULL)
         return -1;
     Py_XSETREF(self->pool, tmp);
-    tmp = PyList_New(0);
-    if (tmp == NULL)
-        return -1;
-    Py_XSETREF(self->trace_log, tmp);
     tmp = PySet_New(NULL);
     if (tmp == NULL)
         return -1;
@@ -1737,7 +1704,6 @@ Sim_traverse(SimObject *self, visitproc visit, void *arg)
     Py_VISIT(self->buckets);
     Py_VISIT(self->phase);
     Py_VISIT(self->pool);
-    Py_VISIT(self->trace_log);
     Py_VISIT(self->active);
     Py_VISIT(self->resume_cb);
     return 0;
@@ -1750,7 +1716,6 @@ Sim_clear(SimObject *self)
     Py_CLEAR(self->buckets);
     Py_CLEAR(self->phase);
     Py_CLEAR(self->pool);
-    Py_CLEAR(self->trace_log);
     Py_CLEAR(self->active);
     Py_CLEAR(self->resume_cb);
     return 0;
@@ -2216,7 +2181,7 @@ done:
  * 1 fall back (nothing mutated), -1 error.
  *
  * Only genuine precondition misses fall back: contention modelling on,
- * an injector installed, a send hook subscribed, stats tracing, a cold
+ * an injector installed, a send hook subscribed, a cold
  * route, or a value of a non-exact type.  A failed read of an attribute
  * that Network.__init__ or TrafficStats always sets is an error and
  * propagates, exactly as it would from the Python coding. */
@@ -2283,17 +2248,6 @@ send_fast(PyObject *net, PyObject *msg)
         goto done;
     if (!Py_IS_TYPE(stats, g_StatsType))
         goto soft_fallback;
-    {
-        PyObject *te = PyObject_GetAttr(stats, s_trace_enabled);
-        if (te == NULL)
-            goto done;
-        int tracing = PyObject_IsTrue(te);
-        Py_DECREF(te);
-        if (tracing < 0)
-            goto done;
-        if (tracing)
-            goto soft_fallback;
-    }
     long long hops, lat;
     {
         PyObject *src = SLOT(msg, off_m_src);
@@ -4273,7 +4227,6 @@ intern_all(void)
     INTERN(s_name, "name");
     INTERN(s_result, "result");
     INTERN(s_delay, "delay");
-    INTERN(s_qualname, "__qualname__");
     INTERN(s_value, "value");
     INTERN(s_append, "append");
     INTERN(s_popleft, "popleft");
@@ -4295,7 +4248,6 @@ intern_all(void)
     INTERN(s_hop_counts, "hop_counts");
     INTERN(s_local_messages, "local_messages");
     INTERN(s_retransmits, "retransmits");
-    INTERN(s_trace_enabled, "trace_enabled");
     INTERN(s_router_contention, "model_router_contention");
     INTERN(s_link_contention, "model_link_contention");
     INTERN(s_is_reply, "is_reply");

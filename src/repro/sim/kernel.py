@@ -56,13 +56,6 @@ class SimulationError(RuntimeError):
 class Simulator:
     """Deterministic discrete-event simulation kernel.
 
-    Parameters
-    ----------
-    trace:
-        When true, every event dispatch is appended to :attr:`trace_log`
-        as ``(time, description)``.  Only used by debugging tests; leaves
-        zero overhead when disabled.
-
     Examples
     --------
     >>> sim = Simulator()
@@ -76,7 +69,7 @@ class Simulator:
     10
     """
 
-    def __init__(self, trace: bool = False) -> None:
+    def __init__(self) -> None:
         #: current simulated time in CPU cycles (read-only for model code)
         self.now = 0
         #: events due at the current time, in FIFO dispatch order
@@ -91,8 +84,6 @@ class Simulator:
         #: sorted by key and dispatched *before* the regular bucket
         self._phase: dict[int, list] = {}
         self._running = False
-        self.trace = trace
-        self.trace_log: list[tuple[int, str]] = []
         self.events_dispatched = 0
         #: live (unfinished) processes, for leak diagnostics in tests
         self.active_processes: set[Process] = set()
@@ -259,77 +250,40 @@ class Simulator:
         heappop = heapq.heappop
         # -1 == unbounded (``dispatched`` only ever equals a non-negative bound)
         max_ev = -1 if max_events is None else max_events
-        # The dispatch loop is bound once per run() on the trace flag: the
-        # untraced variant carries zero per-event trace branches.  The two
-        # loops are otherwise line-for-line identical.
-        trace_log = self.trace_log if self.trace else None
         dispatched = 0
         base_dispatched = self.events_dispatched
         try:
-            if trace_log is None:
-                while True:
-                    while ring:
-                        if dispatched == max_ev:
-                            raise SimulationError(
-                                f"exceeded max_events={max_events}")
-                        fn, args = ring.popleft()
-                        fn(*args)
-                        dispatched += 1
-                    if not times:
-                        break
-                    # events remain: the bound is checked before looking at
-                    # ``until`` so a capped run with work pending always
-                    # raises
+            while True:
+                while ring:
                     if dispatched == max_ev:
                         raise SimulationError(
                             f"exceeded max_events={max_events}")
-                    when = times[0]
-                    if until is not None and when > until:
-                        self.now = until
-                        break
-                    heappop(times)
-                    self.now = when
-                    phase = phase_map.pop(when, None)
-                    if phase is not None:
-                        # delivery phase: canonical (src, seq) arrival order
-                        if len(phase) > 1:
-                            phase.sort()
-                        ring.extend(entry[1] for entry in phase)
-                    bucket = buckets.pop(when)
-                    ring.extend(bucket)
-                    bucket.clear()
-                    bucket_pool.append(bucket)
-            else:
-                while True:
-                    while ring:
-                        if dispatched == max_ev:
-                            raise SimulationError(
-                                f"exceeded max_events={max_events}")
-                        fn, args = ring.popleft()
-                        trace_log.append(
-                            (self.now, getattr(fn, "__qualname__", repr(fn))))
-                        fn(*args)
-                        dispatched += 1
-                    if not times:
-                        break
-                    if dispatched == max_ev:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}")
-                    when = times[0]
-                    if until is not None and when > until:
-                        self.now = until
-                        break
-                    heappop(times)
-                    self.now = when
-                    phase = phase_map.pop(when, None)
-                    if phase is not None:
-                        if len(phase) > 1:
-                            phase.sort()
-                        ring.extend(entry[1] for entry in phase)
-                    bucket = buckets.pop(when)
-                    ring.extend(bucket)
-                    bucket.clear()
-                    bucket_pool.append(bucket)
+                    fn, args = ring.popleft()
+                    fn(*args)
+                    dispatched += 1
+                if not times:
+                    break
+                # events remain: the bound is checked before looking at
+                # ``until`` so a capped run with work pending always raises
+                if dispatched == max_ev:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}")
+                when = times[0]
+                if until is not None and when > until:
+                    self.now = until
+                    break
+                heappop(times)
+                self.now = when
+                phase = phase_map.pop(when, None)
+                if phase is not None:
+                    # delivery phase: canonical (src, seq) arrival order
+                    if len(phase) > 1:
+                        phase.sort()
+                    ring.extend(entry[1] for entry in phase)
+                bucket = buckets.pop(when)
+                ring.extend(bucket)
+                bucket.clear()
+                bucket_pool.append(bucket)
         finally:
             self._running = False
             self.events_dispatched = base_dispatched + dispatched

@@ -11,9 +11,9 @@ def _msg(kind=MessageKind.GET_S, retransmit=False):
 
 def test_record_accumulates_by_kind():
     st = TrafficStats()
-    st.record(0, _msg(), hops=2)
-    st.record(5, _msg(), hops=4)
-    st.record(9, _msg(MessageKind.DATA_S), hops=2)
+    st.record(_msg(), hops=2)
+    st.record(_msg(), hops=4)
+    st.record(_msg(MessageKind.DATA_S), hops=2)
     assert st.messages[MessageKind.GET_S] == 2
     assert st.bytes[MessageKind.GET_S] == 64
     assert st.hop_bytes[MessageKind.GET_S] == 32 * 2 + 32 * 4
@@ -23,7 +23,7 @@ def test_record_accumulates_by_kind():
 
 def test_local_messages_counted_separately():
     st = TrafficStats()
-    st.record(0, _msg(), hops=0)
+    st.record(_msg(), hops=0)
     assert st.total_messages == 0
     assert st.total_local_messages == 1
     assert st.total_bytes == 0
@@ -31,17 +31,17 @@ def test_local_messages_counted_separately():
 
 def test_retransmits_counted():
     st = TrafficStats()
-    st.record(0, _msg(retransmit=True), hops=2)
-    st.record(1, _msg(), hops=2)
+    st.record(_msg(retransmit=True), hops=2)
+    st.record(_msg(), hops=2)
     assert st.retransmits == 1
 
 
 def test_snapshot_and_delta():
     st = TrafficStats()
-    st.record(0, _msg(), hops=2)
+    st.record(_msg(), hops=2)
     snap = st.snapshot()
-    st.record(1, _msg(), hops=2)
-    st.record(2, _msg(MessageKind.WORD_UPDATE), hops=2)
+    st.record(_msg(), hops=2)
+    st.record(_msg(MessageKind.WORD_UPDATE), hops=2)
     delta = st.delta_since(snap)
     assert delta.messages[MessageKind.GET_S] == 1
     assert delta.messages[MessageKind.WORD_UPDATE] == 1
@@ -50,30 +50,20 @@ def test_snapshot_and_delta():
     assert st.total_messages == 3
 
 
-def test_trace_capture():
-    st = TrafficStats()
-    st.trace_enabled = True
-    st.record(42, _msg(), hops=2)
-    assert len(st.trace) == 1
-    entry = st.trace[0]
-    assert entry.time == 42
-    assert entry.kind is MessageKind.GET_S
-    assert "get_s" in repr(entry)
-
-
 def test_reset_clears_everything():
     st = TrafficStats()
-    st.trace_enabled = True
-    st.record(0, _msg(retransmit=True), hops=2)
+    st.record(_msg(retransmit=True), hops=2)
+    st.record(_msg(), hops=0)
     st.reset()
     assert st.total_messages == 0
+    assert st.total_local_messages == 0
+    assert st.hop_counts == {}
     assert st.retransmits == 0
-    assert st.trace == []
 
 
 def test_format_report_contains_totals():
     st = TrafficStats()
-    st.record(0, _msg(), hops=2)
+    st.record(_msg(), hops=2)
     report = st.format_report()
     assert "get_s" in report
     assert "TOTAL" in report
@@ -81,7 +71,7 @@ def test_format_report_contains_totals():
 
 def test_messages_of_selector():
     st = TrafficStats()
-    st.record(0, _msg(MessageKind.GET_S), hops=2)
-    st.record(0, _msg(MessageKind.GET_X), hops=2)
-    st.record(0, _msg(MessageKind.DATA_X), hops=2)
+    st.record(_msg(MessageKind.GET_S), hops=2)
+    st.record(_msg(MessageKind.GET_X), hops=2)
+    st.record(_msg(MessageKind.DATA_X), hops=2)
     assert st.messages_of(MessageKind.GET_S, MessageKind.GET_X) == 2

@@ -47,8 +47,8 @@ def backend(request):
     return request.param
 
 
-def make_sim(backend, trace=False):
-    return create_simulator(backend, trace=trace)
+def make_sim(backend):
+    return create_simulator(backend)
 
 
 # ---------------------------------------------------------------------------
@@ -474,23 +474,6 @@ def test_primitives_match_reference(backend):
     got = _primitive_gauntlet(make_sim(backend))
     want = _primitive_gauntlet(Simulator())
     assert got == want
-
-
-def test_trace_times_match_reference(backend):
-    """Trace mode must log every dispatch at the same times (the
-    description text may differ between implementations)."""
-
-    def run(sim):
-        def ticker():
-            for _ in range(3):
-                yield Timeout(4)
-
-        sim.spawn(ticker())
-        sim.schedule(6, lambda: None)
-        sim.run()
-        return [t for t, _ in sim.trace_log]
-
-    assert run(make_sim(backend, trace=True)) == run(Simulator(trace=True))
 
 
 def test_workload_results_identical_across_backends(backend):
