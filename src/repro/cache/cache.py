@@ -51,13 +51,6 @@ class SetAssociativeCache:
         self.word_updates = 0
 
     # ------------------------------------------------------------------
-    def _set_index(self, line_addr: int) -> int:
-        return (line_addr // self.line_bytes) % self.n_sets
-
-    def line_base(self, addr: int) -> int:
-        return (addr // self.line_bytes) * self.line_bytes
-
-    # ------------------------------------------------------------------
     def lookup(self, addr: int, touch: bool = True) -> Optional[CacheLine]:
         """The resident, valid line containing ``addr``, or None.
 
@@ -88,8 +81,9 @@ class SetAssociativeCache:
         write it back) or None when a way was free or the line was
         already resident.
         """
-        base = self.line_base(addr)
-        entry = self._sets[self._set_index(base)]
+        lb = self.line_bytes
+        base = addr - addr % lb
+        entry = self._sets[(base // lb) % self.n_sets]
         line = entry.get(base)
         if line is not None:
             line.state = state
@@ -104,8 +98,7 @@ class SetAssociativeCache:
             victim = entry.pop(victim_addr)
             self.evictions += 1
         self._stamp += 1
-        line = CacheLine(line_addr=base, state=state,
-                         words=dict(words or {}), last_use=self._stamp)
+        line = CacheLine(base, state, dict(words or {}), False, self._stamp)
         entry[base] = line
         return line, victim
 

@@ -131,8 +131,7 @@ class MachineSnapshot:
         self.net = (list(net._uplink_free_at), list(net._downlink_free_at),
                     net.link_busy_cycles, dict(net._link_free_at),
                     dict(net._last_delivery), list(net._inj_seq))
-        st = net.stats
-        self.stats = st.snapshot()
+        self.stats = (dict(net.stats.counts), net.stats.retransmits)
 
         self.hubs = [self._capture_hub(hub) for hub in machine.hubs]
         self.cpus = [self._capture_cpu(proc) for proc in machine.cpus]
@@ -232,14 +231,8 @@ class MachineSnapshot:
         net._link_free_at = dict(link_free)
         net._last_delivery = dict(last_delivery)
         net._inj_seq = list(inj_seq)
-        counters = self.stats
-        st = net.stats
-        st.messages = type(st.messages)(counters.messages)
-        st.bytes = type(st.bytes)(counters.bytes)
-        st.hop_bytes = type(st.hop_bytes)(counters.hop_bytes)
-        st.local_messages = type(st.local_messages)(counters.local_messages)
-        st.hop_counts = dict(counters.hop_counts)
-        st.retransmits = counters.retransmits
+        counts, net.stats.retransmits = self.stats
+        net.stats.counts = dict(counts)
 
         for hub, state in zip(machine.hubs, self.hubs):
             self._restore_hub(hub, state)

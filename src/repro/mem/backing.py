@@ -35,12 +35,9 @@ class BackingStore:
         """All (word_addr -> value) pairs in the line, omitting zeros."""
         self.reads += 1
         base = word_base(line_addr)
-        out = {}
-        for off in range(0, line_bytes, WORD_BYTES):
-            w = base + off
-            if w in self._words:
-                out[w] = self._words[w]
-        return out
+        words = self._words
+        return {w: words[w] for w in range(base, base + line_bytes, WORD_BYTES)
+                if w in words}
 
     def write_line(self, line_addr: int, words: dict[int, int]) -> None:
         """Write back a set of (word_addr -> value) pairs."""

@@ -288,19 +288,3 @@ class Network:
             raise RuntimeError(
                 f"no handler attached to node {msg.dst_node} for {msg!r}")
         handler(msg)
-
-    # ------------------------------------------------------------------
-    def reply(self, request: Message, kind, value=None, payload=None,
-              src_node: Optional[int] = None) -> None:
-        """Convenience: send a reply for ``request`` back to its source,
-        carrying the request's ``reply_to`` signal."""
-        self.send(Message(
-            kind=kind,
-            src_node=request.dst_node if src_node is None else src_node,
-            dst_node=request.src_node,
-            addr=request.addr,
-            value=value,
-            payload=payload,
-            reply_to=request.reply_to,
-            requester=request.requester,
-        ))

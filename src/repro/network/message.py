@@ -124,7 +124,7 @@ class Message:
     ``reply_to`` carries the requester's one-shot :class:`Signal`; replies
     copy it back so delivery can resume the waiting coroutine directly
     (hardware analogue: transaction identifiers matching replies to MSHR
-    entries).  ``size_bytes`` is computed from the kind when omitted.
+    entries).  ``size_bytes`` is the kind's ``packet_bytes``.
 
     Hand-rolled ``__slots__`` class rather than a dataclass: hundreds of
     thousands of packets are built per run, and the dataclass machinery
@@ -145,7 +145,7 @@ class Message:
                  payload: Any = None, reply_to: Optional[Signal] = None,
                  requester: Optional[int] = None,
                  dst_cpu: Optional[int] = None, is_retransmit: bool = False,
-                 size_bytes: int = 0, msg_id: Optional[int] = None) -> None:
+                 msg_id: Optional[int] = None) -> None:
         self.kind = kind
         self.src_node = src_node
         self.dst_node = dst_node
@@ -157,7 +157,7 @@ class Message:
         self.dst_cpu = dst_cpu            # target CPU for cache-directed msgs
         self.is_retransmit = is_retransmit
         # derived size cached per kind at module import
-        self.size_bytes = size_bytes or kind.packet_bytes
+        self.size_bytes = kind.packet_bytes
         self.msg_id = next(_msg_ids) if msg_id is None else msg_id
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

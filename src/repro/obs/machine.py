@@ -182,12 +182,12 @@ class MachineMetrics:
         snap = self.registry.snapshot()
         counters = snap["counters"]
         stats = self.machine.net.stats
+        size, hop_bytes = stats.bytes, stats.hop_bytes
         for kind, n in sorted(stats.messages.items(),
                               key=lambda kv: kv[0].value):
             counters[f"network.msgs.{kind.value}"] = n
-            counters[f"network.bytes.{kind.value}"] = stats.bytes[kind]
-            counters[f"network.hop_bytes.{kind.value}"] = \
-                stats.hop_bytes[kind]
+            counters[f"network.bytes.{kind.value}"] = size[kind]
+            counters[f"network.hop_bytes.{kind.value}"] = hop_bytes[kind]
         for kind, n in sorted(stats.local_messages.items(),
                               key=lambda kv: kv[0].value):
             counters[f"network.local_msgs.{kind.value}"] = n
@@ -204,16 +204,13 @@ class MachineMetrics:
     def _traffic_histograms(stats) -> dict:
         """Per-packet hop and byte histograms of every packet sent.
 
-        Local packets are the hops-0 bucket.  A packet's size is its
-        kind's ``packet_bytes`` (no sender overrides
-        ``Message.size_bytes``), so per-kind counts give the byte
-        distribution exactly."""
+        One pass over the ``(kind, hops)`` table: local packets are the
+        hops-0 bucket, and a packet's size is its kind's
+        ``packet_bytes``, so the table gives both distributions
+        exactly."""
         hops = Histogram("network.msg_hops")
-        hops.observe_many(0, stats.total_local_messages)
-        for n_hops, n in sorted(stats.hop_counts.items()):
-            hops.observe_many(n_hops, n)
         sizes = Histogram("network.msg_bytes")
-        for kind in stats.messages.keys() | stats.local_messages.keys():
-            sizes.observe_many(kind.packet_bytes, stats.messages[kind]
-                               + stats.local_messages[kind])
+        for (kind, n_hops), n in stats.counts.items():
+            hops.observe_many(n_hops, n)
+            sizes.observe_many(kind.packet_bytes, n)
         return {h.name: h.as_dict() for h in (hops, sizes)}

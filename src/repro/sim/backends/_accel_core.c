@@ -87,8 +87,7 @@ static PyTypeObject Coro_Type;
 /* interned names used by the model fast paths */
 static PyObject *s_sim, *s_send, *s_stats, *s_config, *s_handlers,
     *s_send_hooks, *s_delay_injector, *s_reorder_injector,
-    *s_inj_seq, *s_route_cache, *s_deliver, *s_messages, *s_bytes,
-    *s_hop_bytes, *s_hop_counts, *s_local_messages, *s_retransmits,
+    *s_inj_seq, *s_route_cache, *s_deliver, *s_counts, *s_retransmits,
     *s_router_contention, *s_link_contention, *s_is_reply,
     *s_packet_bytes, *s_try_fire, *s_pulse, *s_line_changed,
     *s_updates, *s_apply_word_update, *s_net, *s_carries_line,
@@ -1769,10 +1768,7 @@ ll_of(PyObject *obj, long long *out)
     return 0;
 }
 
-/* counter[key] += n on a collections.Counter — a dict subclass that
- * does not override item access, and whose __missing__ reads as 0,
- * which PyDict_GetItemWithError's NULL result replicates — or on a
- * plain dict, as counter[key] = counter.get(key, 0) + n */
+/* counter[key] = counter.get(key, 0) + n on an exact dict */
 static int
 counter_add(PyObject *counter, PyObject *key, long long n)
 {
@@ -2200,9 +2196,7 @@ send_fast(PyObject *net, PyObject *msg)
     SimObject *sim = (SimObject *)sim_obj;
     int rc = -1;
     PyObject *stats = NULL, *key = NULL, *deliver = NULL, *seqs = NULL;
-    PyObject *hops_obj = NULL;
-    /* messages, bytes, hop_bytes, hop_counts (local: local_messages) */
-    PyObject *counters[4] = { NULL, NULL, NULL, NULL };
+    PyObject *counts = NULL, *count_key = NULL;
     /* --- precondition phase: no mutation before every check passes --- */
     {
         PyObject *cfg = PyObject_GetAttr(net, s_config);
@@ -2248,7 +2242,7 @@ send_fast(PyObject *net, PyObject *msg)
         goto done;
     if (!Py_IS_TYPE(stats, g_StatsType))
         goto soft_fallback;
-    long long hops, lat;
+    long long lat;
     {
         PyObject *src = SLOT(msg, off_m_src);
         PyObject *dst = SLOT(msg, off_m_dst);
@@ -2273,39 +2267,23 @@ send_fast(PyObject *net, PyObject *msg)
                 goto done;
             goto soft_fallback;   /* cold route: Python fills the cache */
         }
-        int ok = PyTuple_CheckExact(route) && PyTuple_GET_SIZE(route) == 2
-            && ll_of(PyTuple_GET_ITEM(route, 0), &hops) == 0
+        PyObject *kind = SLOT(msg, off_m_kind);
+        int ok = kind != NULL && PyTuple_CheckExact(route)
+            && PyTuple_GET_SIZE(route) == 2
             && ll_of(PyTuple_GET_ITEM(route, 1), &lat) == 0;
-        if (ok)   /* the hop_counts key, as TrafficStats.record uses it */
-            hops_obj = Py_NewRef(PyTuple_GET_ITEM(route, 0));
+        if (ok)   /* (kind, hops): the key TrafficStats.record uses */
+            count_key = PyTuple_Pack(2, kind, PyTuple_GET_ITEM(route, 0));
         Py_DECREF(cache);
         if (!ok)
             goto soft_fallback;
-    }
-    PyObject *kind = SLOT(msg, off_m_kind);
-    if (kind == NULL)
-        goto soft_fallback;
-    long long size = 0;
-    if (hops == 0) {
-        counters[0] = PyObject_GetAttr(stats, s_local_messages);
-        if (counters[0] == NULL)
+        if (count_key == NULL)
             goto done;
     }
-    else {
-        PyObject *names[4] = { s_messages, s_bytes, s_hop_bytes,
-                               s_hop_counts };
-        for (int i = 0; i < 4; i++) {
-            counters[i] = PyObject_GetAttr(stats, names[i]);
-            if (counters[i] == NULL)
-                goto done;
-        }
-        if (ll_of(SLOT(msg, off_m_size), &size) < 0)
-            goto soft_fallback;
-    }
-    for (int i = 0; i < 4; i++) {
-        if (counters[i] != NULL && !PyDict_Check(counters[i]))
-            goto soft_fallback;
-    }
+    counts = PyObject_GetAttr(stats, s_counts);
+    if (counts == NULL)
+        goto done;
+    if (!PyDict_CheckExact(counts))
+        goto soft_fallback;
     int retrans = slot_truth(SLOT(msg, off_m_retransmit));
     if (retrans < 0)
         goto done;
@@ -2336,16 +2314,7 @@ send_fast(PyObject *net, PyObject *msg)
         goto done;
     /* --- commit phase: stats.record + inlined delivery scheduling --- */
     {
-        int err;
-        if (hops == 0) {
-            err = counter_add(counters[0], kind, 1) < 0;
-        }
-        else {
-            err = counter_add(counters[0], kind, 1) < 0
-                || counter_add(counters[1], kind, size) < 0
-                || counter_add(counters[2], kind, size * hops) < 0
-                || counter_add(counters[3], hops_obj, 1) < 0;
-        }
+        int err = counter_add(counts, count_key, 1) < 0;
         if (err)
             goto done;
         if (retrans > 0) {
@@ -2397,9 +2366,8 @@ done:
     Py_XDECREF(key);
     Py_XDECREF(deliver);
     Py_XDECREF(seqs);
-    Py_XDECREF(hops_obj);
-    for (int i = 0; i < 4; i++)
-        Py_XDECREF(counters[i]);
+    Py_XDECREF(counts);
+    Py_XDECREF(count_key);
     Py_DECREF(sim_obj);
     return rc;
 }
@@ -4242,11 +4210,7 @@ intern_all(void)
     INTERN(s_inj_seq, "_inj_seq");
     INTERN(s_route_cache, "_route_cache");
     INTERN(s_deliver, "_deliver");
-    INTERN(s_messages, "messages");
-    INTERN(s_bytes, "bytes");
-    INTERN(s_hop_bytes, "hop_bytes");
-    INTERN(s_hop_counts, "hop_counts");
-    INTERN(s_local_messages, "local_messages");
+    INTERN(s_counts, "counts");
     INTERN(s_retransmits, "retransmits");
     INTERN(s_router_contention, "model_router_contention");
     INTERN(s_link_contention, "model_link_contention");

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from operator import itemgetter
 from types import GeneratorType
 from typing import Any, Callable, Generator, Optional
 
@@ -279,7 +280,7 @@ class Simulator:
                     # delivery phase: canonical (src, seq) arrival order
                     if len(phase) > 1:
                         phase.sort()
-                    ring.extend(entry[1] for entry in phase)
+                    ring.extend(map(itemgetter(1), phase))
                 bucket = buckets.pop(when)
                 ring.extend(bucket)
                 bucket.clear()

@@ -225,6 +225,27 @@ def test_llsc_and_amo_points_share_a_pooled_machine():
 # ----------------------------------------------------------------------
 # machine pool
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", ["reference", "accel"])
+def test_pool_restore_rewinds_traffic(backend):
+    """Every run on a pooled machine counts the traffic a fresh machine
+    counts: restore rewinds the ``(kind, hops)`` table to the pristine
+    one, and into a dict of its own that the snapshot does not share."""
+    cfg = SystemConfig.table1(16, kernel_backend=backend)
+
+    def traffic(machine):
+        barrier = CentralizedBarrier(machine, Mechanism.AMO)
+        machine.run_threads(_barrier_threads(barrier, 2))
+        stats = machine.net.stats
+        assert type(stats.counts) is dict
+        return dict(stats.counts), stats.retransmits, stats.format_report()
+
+    fresh = traffic(Machine(cfg))
+    assert fresh[0]
+    pool = MachinePool()
+    for _ in range(3):
+        assert traffic(pool.acquire(cfg)) == fresh
+
+
 def test_pool_memoizes_per_config():
     pool = MachinePool()
     cfg32 = SystemConfig.table1(32)

@@ -55,8 +55,10 @@ def test_reply_helper_routes_back_with_signal():
     sig = Signal()
     request = Message(kind=MessageKind.GET_S, src_node=0, dst_node=2,
                       addr=0x40, reply_to=sig, requester=5)
-    net.attach(2, lambda msg: net.reply(msg, MessageKind.DATA_S,
-                                        payload={"x": 9}))
+    net.attach(2, lambda msg: net.send(Message(
+        kind=MessageKind.DATA_S, src_node=msg.dst_node,
+        dst_node=msg.src_node, addr=msg.addr, payload={"x": 9},
+        reply_to=msg.reply_to, requester=msg.requester)))
     net.send(request)
     sim.run()
     assert sig.fired

@@ -19,10 +19,10 @@ def test_word_carrier_adds_word():
     assert msg.size_bytes == 32 + 8
 
 
-def test_explicit_size_respected():
-    msg = Message(kind=MessageKind.GET_S, src_node=0, dst_node=1,
-                  size_bytes=64)
-    assert msg.size_bytes == 64
+def test_size_is_a_function_of_kind():
+    for kind in MessageKind:
+        msg = Message(kind=kind, src_node=0, dst_node=1)
+        assert msg.size_bytes == kind.packet_bytes, kind
 
 
 def test_kind_classification_consistency():

@@ -1,5 +1,8 @@
 """Unit tests for traffic statistics."""
 
+import random
+from collections import Counter
+
 from repro.network.message import Message, MessageKind
 from repro.network.stats import TrafficStats
 
@@ -75,3 +78,54 @@ def test_messages_of_selector():
     st.record(_msg(MessageKind.GET_X), hops=2)
     st.record(_msg(MessageKind.DATA_X), hops=2)
     assert st.messages_of(MessageKind.GET_S, MessageKind.GET_X) == 2
+
+
+def _fold(records):
+    """Per-view accounting of ``(kind, hops, retransmit)`` records, kept
+    the long way: four per-kind Counters and a hop-count Counter."""
+    views = {name: Counter() for name in ("messages", "bytes", "hop_bytes",
+                                          "local_messages", "hop_counts")}
+    for kind, hops, _ in records:
+        if hops == 0:
+            views["local_messages"][kind] += 1
+        else:
+            views["messages"][kind] += 1
+            views["bytes"][kind] += kind.packet_bytes
+            views["hop_bytes"][kind] += kind.packet_bytes * hops
+            views["hop_counts"][hops] += 1
+    return views, sum(retransmit for _, _, retransmit in records)
+
+
+def _assert_agrees(st, records):
+    views, retransmits = _fold(records)
+    for name, expected in views.items():
+        assert dict(getattr(st, name)) == dict(expected), name
+    assert st.total_messages == sum(views["messages"].values())
+    assert st.total_bytes == sum(views["bytes"].values())
+    assert st.total_hop_bytes == sum(views["hop_bytes"].values())
+    assert st.total_local_messages == sum(views["local_messages"].values())
+    assert st.retransmits == retransmits
+    requests = [k for k in MessageKind if k.is_request]
+    assert st.messages_of(*requests) == sum(views["messages"][k]
+                                            for k in requests)
+
+
+def test_table_agrees_with_per_view_counters():
+    rng = random.Random(21)
+    kinds = list(MessageKind)
+    records = [(rng.choice(kinds), rng.randint(0, 8), rng.random() < 0.1)
+               for _ in range(3000)]
+    head, tail = records[:1000], records[1000:]
+    st = TrafficStats()
+    for kind, hops, retransmit in head:
+        st.record(_msg(kind, retransmit), hops)
+    snap = st.snapshot()
+    for kind, hops, retransmit in tail:
+        st.record(_msg(kind, retransmit), hops)
+    _assert_agrees(st, records)
+    _assert_agrees(snap, head)
+    _assert_agrees(st.delta_since(snap), tail)
+    _assert_agrees(st.delta_since(st.snapshot()), [])
+    st.reset()
+    _assert_agrees(st, [])
+    _assert_agrees(snap, head)

@@ -352,17 +352,20 @@ def test_send_surfaces_a_failed_attribute_read(backend, name):
                    for entry in err.traceback)
 
 
-#: traffic counters ``TrafficStats`` always sets and a remote ``send``
-#: updates
-SEND_STATS_ATTRIBUTES = ("messages", "bytes", "hop_bytes", "hop_counts")
+#: the traffic table ``TrafficStats`` always sets and every ``send``
+#: updates, and the per-kind counters derived from it
+SEND_STATS_ATTRIBUTES = ("counts", "messages", "bytes", "hop_bytes",
+                         "hop_counts")
 
 
 @pytest.mark.parametrize("name", SEND_STATS_ATTRIBUTES)
 def test_send_surfaces_a_failed_stats_read(backend, name):
-    """A traffic counter missing from ``net.stats`` is an error on a
-    remote send, the same one on every backend.  The compiled ``send``
-    raises it itself instead of handing the message to its Python twin.
-    (The counter is deleted rather than made flaky: a ``TrafficStats``
+    """The traffic table missing from ``net.stats`` is an error on a
+    remote send, the same one on every backend, and the failed send
+    counts nothing: once the table is put back, the counter ``name``
+    reads as it did before.  The compiled ``send`` raises the error
+    itself instead of handing the message to its Python twin.  (The
+    table is deleted rather than made flaky: a ``TrafficStats``
     subclass would be a precondition miss of its own.)"""
     from repro.config.parameters import SystemConfig
     from repro.core.machine import Machine
@@ -372,14 +375,21 @@ def test_send_surfaces_a_failed_stats_read(backend, name):
     machine = Machine(SystemConfig.table1(4, kernel_backend=backend))
     net = machine.net
     net._route(0, 1)                  # warm: no cold-route fallback
-    delattr(net.stats, name)
+    stats = net.stats
+    net.send(Message(MessageKind.GET_S, 0, 1, addr=0))
+    assert stats.hop_counts           # the send was remote
+    before = dict(getattr(stats, name))
+    table = stats.counts
+    delattr(stats, "counts")
     msg = Message(MessageKind.GET_S, 0, 1, addr=0)
-    with pytest.raises(AttributeError, match=f"attribute '{name}'") as err:
+    with pytest.raises(AttributeError, match="attribute 'counts'") as err:
         net.send(msg)
     if backend == "accel" and model_core() is not None:
         # no Python frame of Network.send or TrafficStats.record
         assert all(entry.name not in ("send", "_route", "record")
                    for entry in err.traceback)
+    stats.counts = table
+    assert dict(getattr(stats, name)) == before
 
 
 @pytest.mark.parametrize("path, name", [("reply", "sim"),
