@@ -15,7 +15,7 @@ import argparse
 
 from repro.apps import run_histogram, run_jacobi, run_task_farm
 from repro.config import Mechanism
-from repro.stats.report import TableFormatter
+from repro.harness.report import TableFormatter
 
 MECHS = [Mechanism.LLSC, Mechanism.ACTMSG, Mechanism.ATOMIC,
          Mechanism.MAO, Mechanism.AMO]

@@ -13,7 +13,7 @@ Run:  python examples/barrier_scaling.py [--cpus 4 8 16 32] [--episodes 3]
 import argparse
 
 from repro.config import Mechanism
-from repro.stats.report import TableFormatter, fit_linear
+from repro.harness.report import TableFormatter, fit_linear
 from repro.workloads import run_barrier_workload
 
 MECHS = [Mechanism.LLSC, Mechanism.ACTMSG, Mechanism.ATOMIC,

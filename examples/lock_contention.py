@@ -18,7 +18,7 @@ Run:  python examples/lock_contention.py [--cpus 4 16 64] [--acq 3]
 import argparse
 
 from repro.config import Mechanism
-from repro.stats.report import TableFormatter
+from repro.harness.report import TableFormatter
 from repro.workloads import run_lock_workload
 
 MECHS = [Mechanism.LLSC, Mechanism.ACTMSG, Mechanism.ATOMIC,

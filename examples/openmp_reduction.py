@@ -20,7 +20,7 @@ import argparse
 
 from repro import Machine, SystemConfig
 from repro.config import Mechanism
-from repro.stats.report import TableFormatter
+from repro.harness.report import TableFormatter
 from repro.sync import CentralizedBarrier, fetch_add
 
 WORK_ITEMS_PER_CPU = 32

@@ -14,10 +14,10 @@ Run:  python examples/trace_a_barrier.py [--out-dir .]
 
 import argparse
 import os
+import statistics
 
 from repro import Machine, SystemConfig
 from repro.config import Mechanism
-from repro.stats.collector import op_latency_stats
 from repro.sync import CentralizedBarrier
 from repro.trace import TraceRecorder
 
@@ -36,9 +36,11 @@ def run_traced(mech: Mechanism, out_path: str) -> None:
 
     print(f"--- {mech.label} barrier, 8 CPUs, 2 episodes ---")
     print(tracer.summary())
-    spins = op_latency_stats(tracer, "spin_until")
-    if len(spins):
-        print(f"spin spans: {spins.summary()}")
+    spins = [span.duration for span in tracer.spans_named("spin_until")]
+    if spins:
+        print(f"spin spans: n={len(spins)} "
+              f"mean={statistics.mean(spins):.0f} "
+              f"median={statistics.median(spins):.0f} max={max(spins)}")
     print(f"total simulated time: {machine.last_completion_time} cycles")
     print(f"timeline written to {out_path}")
     print()

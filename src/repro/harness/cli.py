@@ -30,8 +30,9 @@ import time
 
 from repro.harness import experiments as ex
 from repro.harness.paper_data import TABLE2_CPUS, TABLE3_CPUS, TABLE4_CPUS
-from repro.runner import ParallelRunner, ResultCache, default_cache_dir
-from repro.stats.runner import make_progress
+from repro.runner import (
+    ParallelRunner, ResultCache, default_cache_dir, stderr_progress,
+)
 
 QUICK_BARRIER_CPUS = (4, 8, 16, 32, 64)
 QUICK_TREE_CPUS = (16, 32, 64)
@@ -184,7 +185,7 @@ def main(argv=None) -> int:
         cache = ResultCache(root=args.cache_dir or default_cache_dir())
     runner = ParallelRunner(jobs=args.jobs, cache=cache,
                             timeout=args.timeout,
-                            progress=make_progress(args.progress))
+                            progress=stderr_progress if args.progress else None)
 
     want = args.experiment
     results: list[ex.ExperimentResult] = []

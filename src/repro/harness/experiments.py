@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from repro.config.mechanism import Mechanism
 from repro.harness import paper_data
 from repro.runner import ParallelRunner, RunSpec
-from repro.stats.report import TableFormatter, fit_linear
+from repro.harness.report import TableFormatter, fit_linear
 from repro.workloads.barrier import BarrierResult, run_barrier_workload
 from repro.workloads.locks import LockResult
 from repro.workloads.qlocks import QLOCK_TYPES, qlock_supported

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from repro.config.mechanism import Mechanism
 from repro.config.parameters import SystemConfig
-from repro.stats.report import TableFormatter
+from repro.harness.report import TableFormatter
 from repro.workloads.barrier import run_barrier_workload
 
 

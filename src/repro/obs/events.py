@@ -8,12 +8,11 @@ series::
 
     log = EventLog("run.jsonl", sim=machine.sim)
     log.emit("barrier.episode", index=3, cycles=5120)
-    log.attach_network(machine)        # one record per injected message
     ...
     log.close()
 
-Network capture is a ``subscribe_send`` hook, so it composes with the
-tracer, the profiler and the metrics layer.  Every record has the shape
+Per-message records are :class:`~repro.trace.TraceRecorder`'s instants;
+the log carries run-level events only.  Every record has the shape
 ``{"t": <cycles or null>, "event": <name>, ...fields}``; consumers can
 stream-filter with one ``json.loads`` per line.
 """
@@ -24,7 +23,6 @@ import json
 from typing import Any, IO, Optional, TYPE_CHECKING, Union
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.machine import Machine
     from repro.sim.kernel import Simulator
 
 
@@ -50,18 +48,6 @@ class EventLog:
         record.update(fields)
         self._fh.write(json.dumps(record, default=str) + "\n")
         self.records_written += 1
-
-    def attach_network(self, machine: "Machine") -> None:
-        """Log every injected network message (``net.send`` events)."""
-        if self.sim is None:
-            self.sim = machine.sim
-
-        def on_send(msg, hops: int) -> None:
-            self.emit("net.send", kind=msg.kind.value, src=msg.src_node,
-                      dst=msg.dst_node, hops=hops, bytes=msg.size_bytes,
-                      addr=None if msg.addr is None else hex(msg.addr))
-
-        machine.net.subscribe_send(on_send)
 
     # ------------------------------------------------------------------
     def flush(self) -> None:

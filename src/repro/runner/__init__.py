@@ -22,18 +22,25 @@ from repro.runner.fingerprint import code_fingerprint
 from repro.runner.spec import (
     RunRecord, RunSpec, execute_spec, register_kind, registered_kinds,
 )
+from repro.runner.stats import (
+    PointRecord, ProgressHook, RunnerStats, stderr_progress,
+)
 
 __all__ = [
     "ParallelRunner",
+    "PointRecord",
+    "ProgressHook",
     "ResultCache",
     "RunFailure",
     "RunRecord",
     "RunSpec",
     "RunnerError",
+    "RunnerStats",
     "RunTimeoutError",
     "code_fingerprint",
     "default_cache_dir",
     "execute_spec",
     "register_kind",
     "registered_kinds",
+    "stderr_progress",
 ]

@@ -41,7 +41,7 @@ from typing import Any, Optional, Sequence, Union
 
 from repro.runner.cache import ResultCache
 from repro.runner.spec import RunRecord, RunSpec, execute_spec
-from repro.stats.runner import PointRecord, ProgressHook, RunnerStats
+from repro.runner.stats import PointRecord, ProgressHook, RunnerStats
 
 
 class RunTimeoutError(Exception):

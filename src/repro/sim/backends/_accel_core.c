@@ -3819,6 +3819,7 @@ static int
 coro_clear(PyObject *self)
 {
     CoroObject *co = (CoroObject *)self;
+    co->state = ST_DONE;        /* nothing left to finalize */
     Py_CLEAR(co->a);
     Py_CLEAR(co->b);
     Py_CLEAR(co->c);
@@ -3828,19 +3829,32 @@ coro_clear(PyObject *self)
     return 0;
 }
 
+/* Run pending finalizers the way a dying suspended generator would.
+ * As a tp_finalize (PEP 442) the collector calls this before it clears
+ * any object of an unreachable cycle, so the resource a suspended
+ * egress still holds is intact when it is released. */
 static void
-coro_dealloc(PyObject *self)
+coro_finalize(PyObject *self)
 {
     CoroObject *co = (CoroObject *)self;
-    PyObject_GC_UnTrack(self);
     if (co->state > 0 || co->sub != NULL) {
-        /* run finalizers the way a dying suspended generator would */
         PyObject *et, *ev, *etb;
         PyErr_Fetch(&et, &ev, &etb);
         if (coro_shutdown(co) < 0)
             PyErr_WriteUnraisable(self);
         PyErr_Restore(et, ev, etb);
     }
+}
+
+static void
+coro_dealloc(PyObject *self)
+{
+    CoroObject *co = (CoroObject *)self;
+    if (co->state > 0 || co->sub != NULL) {
+        if (PyObject_CallFinalizerFromDealloc(self) < 0)
+            return;             /* resurrected by a finalizer */
+    }
+    PyObject_GC_UnTrack(self);
     (void)coro_clear(self);
     PyObject_GC_Del(self);
 }
@@ -3868,6 +3882,7 @@ static PyTypeObject Coro_Type = {
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_traverse = coro_traverse,
     .tp_clear = coro_clear,
+    .tp_finalize = coro_finalize,
     .tp_iter = PyObject_SelfIter,
     .tp_iternext = coro_iternext,
     .tp_methods = coro_methods,

@@ -172,7 +172,7 @@ def traced_op(fn):
         return result
 
     def wrapper(self, *args, **kwargs):
-        tracer = getattr(self.machine, "tracer", None)
+        tracer = self.machine.tracer
         if tracer is None:
             return fn(self, *args, **kwargs)
         return _traced(self, tracer, args, kwargs)

@@ -8,10 +8,12 @@
   NUMA-aware, reader-writer) with offline grant-history verification
   (extension; ROADMAP item 3).
 
-Each driver builds a fresh :class:`~repro.core.machine.Machine`, runs an
-unmeasured warm-up pass (cold-miss epoch, as an execution-driven
-simulator's measured region would exclude), then measures steady-state
-cycles and traffic.
+Each driver runs its point through :func:`repro.workloads.warm.measure`:
+an unmeasured warm-up pass (cold-miss epoch, as an execution-driven
+simulator's measured region would exclude) on a fresh, pooled or
+warm-restored :class:`~repro.core.machine.Machine`, then the measured
+steady-state cycles and traffic.  A driver supplies only its sync
+object and its per-CPU thread.
 """
 
 from repro.workloads.barrier import BarrierResult, run_barrier_workload

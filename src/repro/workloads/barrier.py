@@ -13,13 +13,10 @@ from typing import Optional
 
 from repro.config.mechanism import Mechanism
 from repro.config.parameters import SystemConfig
-from repro.core.machine import Machine
 from repro.network.stats import TrafficStats
-from repro.obs import CriticalPathAnalyzer, MachineMetrics
-from repro.obs.critical_path import EPISODE_SPAN
 from repro.sync.barrier import CentralizedBarrier
 from repro.sync.tree_barrier import CombiningTreeBarrier
-from repro.trace.recorder import TraceRecorder
+from repro.workloads.warm import measure, point_config
 
 
 @dataclass
@@ -59,6 +56,16 @@ class BarrierResult:
         return baseline.cycles_per_episode / self.cycles_per_episode
 
 
+def _make_thread(barrier, count: int, mark):
+    def thread(proc):
+        for _ in range(count):
+            t0 = proc.sim.now
+            yield from barrier.wait(proc)
+            if mark is not None:
+                mark(proc, t0)
+    return thread
+
+
 def run_barrier_workload(n_processors: int, mechanism: Mechanism,
                          episodes: int = 4, warmup_episodes: int = 1,
                          tree_branching: Optional[int] = None,
@@ -83,79 +90,29 @@ def run_barrier_workload(n_processors: int, mechanism: Mechanism,
     the measured episodes only, with identical cycles and event counts.
     Metered runs skip the warm contexts, so their warm-up is simulated
     and observed, but still take their machine from the cache's pool;
-    the observers are detached when the run ends.
+    the observers are detached when the run ends
+    (:func:`repro.workloads.warm.measure`).
     ``backend`` selects the event-kernel backend
     (:mod:`repro.sim.backends`); results are byte-identical across
     backends, so it never changes what is measured — only how fast.
     """
-    cfg = config or SystemConfig.table1(n_processors)
-    if cfg.n_processors != n_processors:
-        cfg = cfg.replace(n_processors=n_processors)
-    if backend is not None:
-        cfg = cfg.replace(kernel_backend=backend)
-    warm = warm_cache is not None and not metrics
-    key = ("barrier", cfg, mechanism, tree_branching, naive, home_node,
-           warmup_episodes) if warm else None
-    ctx = warm_cache.lookup(key) if warm else None
-    obs = tracer = None
-    if ctx is not None:
-        machine = ctx.machine
-        barrier = ctx.sync
-        machine.restore(ctx.snapshot)
-        barrier.load_state(ctx.sync_state)
-    else:
-        machine = (warm_cache.pool.acquire(cfg) if warm_cache is not None
-                   else Machine(cfg))
-        if metrics:
-            obs = MachineMetrics.attach(machine,
-                                        sample_interval=metrics_interval)
-            tracer = TraceRecorder.attach(machine, capture_messages=False)
-    try:
-        if ctx is None:
-            if tree_branching is not None:
-                barrier = CombiningTreeBarrier(machine, mechanism,
-                                               branching=tree_branching,
-                                               root_home=home_node)
-            else:
-                barrier = CentralizedBarrier(machine, mechanism,
-                                             naive=naive,
-                                             home_node=home_node)
+    cfg = point_config(n_processors, config, backend)
 
-        def make_thread(count: int, measured: bool = False):
-            def thread(proc):
-                for _ in range(count):
-                    t0 = proc.sim.now
-                    yield from barrier.wait(proc)
-                    if measured and tracer is not None:
-                        tracer.add_span(f"cpu{proc.cpu_id}", EPISODE_SPAN,
-                                        t0, proc.sim.now)
-            return thread
+    def build(machine):
+        if tree_branching is not None:
+            return CombiningTreeBarrier(machine, mechanism,
+                                        branching=tree_branching,
+                                        root_home=home_node)
+        return CentralizedBarrier(machine, mechanism, naive=naive,
+                                  home_node=home_node)
 
-        if ctx is None:
-            if warmup_episodes:
-                machine.run_threads(make_thread(warmup_episodes))
-            if warm and hasattr(barrier, "save_state"):
-                warm_cache.store(key, machine, barrier, machine.snapshot(),
-                                 barrier.save_state())
-        start = machine.last_completion_time
-        before = machine.net.stats.snapshot()
-        if obs is not None and obs.sampler is not None:
-            obs.sampler.start()
-        machine.run_threads(make_thread(episodes, measured=True))
-        total = machine.last_completion_time - start
-        traffic = machine.net.stats.delta_since(before)
-        machine.check_coherence_invariants()
-        snapshot = None
-        if obs is not None:
-            analyzer = CriticalPathAnalyzer(machine)
-            obs.critical_path = analyzer.summarize(analyzer.analyze(tracer))
-            snapshot = obs.snapshot()
-    finally:
-        if obs is not None:
-            obs.detach()
-            tracer.detach()
+    run = measure(cfg, ("barrier", cfg, mechanism, tree_branching, naive,
+                        home_node, warmup_episodes),
+                  warm_cache, metrics, metrics_interval, build,
+                  _make_thread, warmup_episodes, episodes)
     return BarrierResult(
         mechanism=mechanism, n_processors=n_processors, episodes=episodes,
-        tree_branching=tree_branching, total_cycles=total, traffic=traffic,
-        events_dispatched=machine.sim.events_dispatched,
-        metrics=snapshot)
+        tree_branching=tree_branching, total_cycles=run.total_cycles,
+        traffic=run.traffic,
+        events_dispatched=run.machine.sim.events_dispatched,
+        metrics=run.metrics)

@@ -14,20 +14,18 @@ from typing import Optional
 
 from repro.config.mechanism import Mechanism
 from repro.config.parameters import SystemConfig
-from repro.core.machine import Machine
 from repro.network.stats import TrafficStats
-from repro.obs import CriticalPathAnalyzer, MachineMetrics
-from repro.obs.critical_path import EPISODE_SPAN
-from repro.stats.collector import LatencyStats
-from repro.trace.recorder import TraceRecorder
 from repro.sync.array_lock import ArrayQueueLock
 from repro.sync.mcs_lock import McsLock
 from repro.sync.ticket_lock import TicketLock
+from repro.workloads.warm import measure, point_config
 
 #: critical-section and think-time defaults (CPU cycles) — short critical
 #: sections maximize lock-passing pressure, the regime the paper studies
 DEFAULT_CS_CYCLES = 100
 DEFAULT_THINK_CYCLES = 200
+
+_LOCKS = {"ticket": TicketLock, "array": ArrayQueueLock, "mcs": McsLock}
 
 
 @dataclass
@@ -42,8 +40,8 @@ class LockResult:
     traffic: TrafficStats
     cs_cycles: int
     think_cycles: int
-    #: distribution of individual acquire() latencies (steady state)
-    acquire_latency: Optional[LatencyStats] = None
+    #: steady-state acquire() latencies in cycles, in completion order
+    acquire_latency: Optional[list[int]] = None
     #: kernel events dispatched by the whole run (simulator-cost metric)
     events_dispatched: int = 0
     #: metrics snapshot (repro.obs) when the run was metered, else None
@@ -91,89 +89,42 @@ def run_lock_workload(n_processors: int, mechanism: Mechanism,
     ``backend`` selects the event-kernel backend
     (:mod:`repro.sim.backends`); byte-identical results, faster loop.
     """
-    cfg = config or SystemConfig.table1(n_processors)
-    if cfg.n_processors != n_processors:
-        cfg = cfg.replace(n_processors=n_processors)
-    if backend is not None:
-        cfg = cfg.replace(kernel_backend=backend)
-    warm = warm_cache is not None and not metrics
-    key = ("lock", cfg, mechanism, lock_type, home_node, warmup_per_cpu,
-           cs_cycles, think_cycles) if warm else None
-    ctx = warm_cache.lookup(key) if warm else None
-    obs = tracer = None
-    if ctx is not None:
-        machine = ctx.machine
-        lock = ctx.sync
-        machine.restore(ctx.snapshot)
-        lock.load_state(ctx.sync_state)
-    else:
-        machine = (warm_cache.pool.acquire(cfg) if warm_cache is not None
-                   else Machine(cfg))
-        if metrics:
-            obs = MachineMetrics.attach(machine,
-                                        sample_interval=metrics_interval)
-            tracer = TraceRecorder.attach(machine, capture_messages=False)
-    try:
-        if ctx is None:
-            if lock_type == "ticket":
-                lock = TicketLock(machine, mechanism, home_node=home_node)
-            elif lock_type == "array":
-                lock = ArrayQueueLock(machine, mechanism, home_node=home_node)
-            elif lock_type == "mcs":
-                lock = McsLock(machine, mechanism, home_node=home_node)
-            else:
-                raise ValueError(f"unknown lock type {lock_type!r}")
+    lock_cls = _LOCKS.get(lock_type)
+    if lock_cls is None:
+        raise ValueError(f"unknown lock type {lock_type!r}")
+    cfg = point_config(n_processors, config, backend)
+    occupancy = {"n": 0}
+    latencies: list[int] = []
 
-        occupancy = {"n": 0}
-        acquire_latency = LatencyStats(name=f"{lock_type}-acquire")
+    def make_thread(lock, count: int, mark):
+        def thread(proc):
+            for _ in range(count):
+                t0 = proc.sim.now
+                yield from lock.acquire(proc)
+                if mark is not None:
+                    latencies.append(proc.sim.now - t0)
+                occupancy["n"] += 1
+                assert occupancy["n"] == 1, "mutual exclusion violated"
+                yield from proc.delay(cs_cycles)
+                occupancy["n"] -= 1
+                yield from lock.release(proc)
+                if mark is not None:
+                    mark(proc, t0)
+                yield from proc.delay(think_cycles)
+        return thread
 
-        def make_thread(count: int, measured: bool):
-            def thread(proc):
-                for _ in range(count):
-                    t0 = proc.sim.now
-                    yield from lock.acquire(proc)
-                    if measured:
-                        acquire_latency.record(proc.sim.now - t0)
-                    occupancy["n"] += 1
-                    assert occupancy["n"] == 1, "mutual exclusion violated"
-                    yield from proc.delay(cs_cycles)
-                    occupancy["n"] -= 1
-                    yield from lock.release(proc)
-                    if measured and tracer is not None:
-                        tracer.add_span(f"cpu{proc.cpu_id}", EPISODE_SPAN,
-                                        t0, proc.sim.now)
-                    yield from proc.delay(think_cycles)
-            return thread
-
-        if ctx is None:
-            if warmup_per_cpu:
-                machine.run_threads(make_thread(warmup_per_cpu, False))
-            if warm and hasattr(lock, "save_state"):
-                warm_cache.store(key, machine, lock, machine.snapshot(),
-                                 lock.save_state())
-        start = machine.last_completion_time
-        before = machine.net.stats.snapshot()
-        if obs is not None and obs.sampler is not None:
-            obs.sampler.start()
-        machine.run_threads(make_thread(acquisitions_per_cpu, True))
-        total = machine.last_completion_time - start
-        traffic = machine.net.stats.delta_since(before)
-        machine.check_coherence_invariants()
-        snapshot = None
-        if obs is not None:
-            analyzer = CriticalPathAnalyzer(machine)
-            obs.critical_path = analyzer.summarize(analyzer.analyze(tracer))
-            snapshot = obs.snapshot()
-    finally:
-        if obs is not None:
-            obs.detach()
-            tracer.detach()
+    run = measure(cfg, ("lock", cfg, mechanism, lock_type, home_node,
+                        warmup_per_cpu, cs_cycles, think_cycles),
+                  warm_cache, metrics, metrics_interval,
+                  lambda machine: lock_cls(machine, mechanism,
+                                           home_node=home_node),
+                  make_thread, warmup_per_cpu, acquisitions_per_cpu)
     return LockResult(
         mechanism=mechanism, lock_type=lock_type,
         n_processors=n_processors,
         acquisitions=acquisitions_per_cpu * n_processors,
-        total_cycles=total, traffic=traffic,
+        total_cycles=run.total_cycles, traffic=run.traffic,
         cs_cycles=cs_cycles, think_cycles=think_cycles,
-        acquire_latency=acquire_latency,
-        events_dispatched=machine.sim.events_dispatched,
-        metrics=snapshot)
+        acquire_latency=latencies,
+        events_dispatched=run.machine.sim.events_dispatched,
+        metrics=run.metrics)

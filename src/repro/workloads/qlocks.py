@@ -36,19 +36,15 @@ from repro.check.linearize import (
 )
 from repro.config.mechanism import Mechanism
 from repro.config.parameters import SystemConfig
-from repro.core.machine import Machine
-from repro.obs import CriticalPathAnalyzer, MachineMetrics
-from repro.obs.critical_path import EPISODE_SPAN
-from repro.stats.collector import LatencyStats
 from repro.sync.cna_lock import DEFAULT_BATCH_THRESHOLD, CnaLock
 from repro.sync.mcs_lock import McsLock
 from repro.sync.rw_lock import RwTicketLock, UnsupportedMechanismError
-from repro.trace.recorder import TraceRecorder
 from repro.workloads.locks import (
     DEFAULT_CS_CYCLES,
     DEFAULT_THINK_CYCLES,
     LockResult,
 )
+from repro.workloads.warm import measure, point_config
 
 #: queue-lock algorithms this driver runs
 QLOCK_TYPES = ("mcs", "cna", "rw")
@@ -117,139 +113,95 @@ def run_qlock_workload(n_processors: int, mechanism: Mechanism,
         raise UnsupportedMechanismError(
             f"queue lock {lock_type!r} cannot be built over "
             f"{mechanism.value}: see repro.workloads.qlocks.QLOCK_SUPPORT")
-    cfg = config or SystemConfig.table1(n_processors)
-    if cfg.n_processors != n_processors:
-        cfg = cfg.replace(n_processors=n_processors)
-    if backend is not None:
-        cfg = cfg.replace(kernel_backend=backend)
-    warm = warm_cache is not None and not metrics
-    key = ("qlock", cfg, mechanism, lock_type, home_node, warmup_per_cpu,
-           cs_cycles, think_cycles, batch_threshold) if warm else None
-    ctx = warm_cache.lookup(key) if warm else None
-    obs = tracer = None
-    if ctx is not None:
-        machine = ctx.machine
-        lock = ctx.sync
-        machine.restore(ctx.snapshot)
-        lock.load_state(ctx.sync_state)
-    else:
-        machine = (warm_cache.pool.acquire(cfg) if warm_cache is not None
-                   else Machine(cfg))
-        if metrics:
-            obs = MachineMetrics.attach(machine,
-                                        sample_interval=metrics_interval)
-            tracer = TraceRecorder.attach(machine, capture_messages=False)
-    try:
-        if ctx is None:
-            if lock_type == "mcs":
-                lock = McsLock(machine, mechanism, home_node=home_node)
-            elif lock_type == "cna":
-                lock = CnaLock(machine, mechanism, home_node=home_node,
-                               batch_threshold=batch_threshold)
-            else:
-                lock = RwTicketLock(machine, mechanism, home_node=home_node)
+    cfg = point_config(n_processors, config, backend)
+    occupancy = {"n": 0, "w": 0}
+    latencies: list[int] = []
+    spans: list = []
 
-        occupancy = {"n": 0, "w": 0}
-        acquire_latency = LatencyStats(name=f"{lock_type}-acquire")
-        spans: list = []
+    def build(machine):
+        if lock_type == "mcs":
+            return McsLock(machine, mechanism, home_node=home_node)
+        if lock_type == "cna":
+            return CnaLock(machine, mechanism, home_node=home_node,
+                           batch_threshold=batch_threshold)
+        return RwTicketLock(machine, mechanism, home_node=home_node)
 
-        def make_queue_thread(count: int, measured: bool):
-            def thread(proc):
-                for _ in range(count):
-                    t0 = proc.sim.now
-                    handle, pred = yield from lock.acquire(proc)
-                    if measured:
-                        acquire_latency.record(proc.sim.now - t0)
-                    t_acq = proc.sim.now
+    def make_queue_thread(lock, count: int, mark):
+        def thread(proc):
+            for _ in range(count):
+                t0 = proc.sim.now
+                handle, pred = yield from lock.acquire(proc)
+                t_acq = proc.sim.now
+                if mark is not None:
+                    latencies.append(t_acq - t0)
+                occupancy["n"] += 1
+                assert occupancy["n"] == 1, "mutual exclusion violated"
+                yield from proc.delay(cs_cycles)
+                occupancy["n"] -= 1
+                if mark is not None:
+                    spans.append(QueueLockSpan(
+                        cpu=proc.cpu_id,
+                        node=proc.machine.node_of_cpu(proc.cpu_id),
+                        handle=handle, pred=pred,
+                        acquired=t_acq, released=proc.sim.now))
+                yield from lock.release(proc)
+                if mark is not None:
+                    mark(proc, t0)
+                yield from proc.delay(think_cycles)
+        return thread
+
+    def make_rw_thread(lock, count: int, mark):
+        def thread(proc):
+            writer = proc.cpu_id % 2 == 0
+            for _ in range(count):
+                t0 = proc.sim.now
+                if writer:
+                    ticket = yield from lock.acquire_write(proc)
+                else:
+                    ticket = yield from lock.acquire_read(proc)
+                t_acq = proc.sim.now
+                if mark is not None:
+                    latencies.append(t_acq - t0)
+                if writer:
+                    occupancy["w"] += 1
+                    assert occupancy["w"] == 1 and occupancy["n"] == 0, \
+                        "rw exclusion violated"
+                else:
                     occupancy["n"] += 1
-                    assert occupancy["n"] == 1, "mutual exclusion violated"
-                    yield from proc.delay(cs_cycles)
+                    assert occupancy["w"] == 0, "rw exclusion violated"
+                yield from proc.delay(cs_cycles)
+                if writer:
+                    occupancy["w"] -= 1
+                else:
                     occupancy["n"] -= 1
-                    if measured:
-                        spans.append(QueueLockSpan(
-                            cpu=proc.cpu_id,
-                            node=machine.node_of_cpu(proc.cpu_id),
-                            handle=handle, pred=pred,
-                            acquired=t_acq, released=proc.sim.now))
-                    yield from lock.release(proc)
-                    if measured and tracer is not None:
-                        tracer.add_span(f"cpu{proc.cpu_id}", EPISODE_SPAN,
-                                        t0, proc.sim.now)
-                    yield from proc.delay(think_cycles)
-            return thread
+                if mark is not None:
+                    spans.append(RwSpan(
+                        cpu=proc.cpu_id, kind="w" if writer else "r",
+                        ticket=ticket, acquired=t_acq,
+                        released=proc.sim.now))
+                if writer:
+                    yield from lock.release_write(proc)
+                else:
+                    yield from lock.release_read(proc)
+                if mark is not None:
+                    mark(proc, t0)
+                yield from proc.delay(think_cycles)
+        return thread
 
-        def make_rw_thread(count: int, measured: bool):
-            def thread(proc):
-                writer = proc.cpu_id % 2 == 0
-                for _ in range(count):
-                    t0 = proc.sim.now
-                    if writer:
-                        ticket = yield from lock.acquire_write(proc)
-                    else:
-                        ticket = yield from lock.acquire_read(proc)
-                    if measured:
-                        acquire_latency.record(proc.sim.now - t0)
-                    t_acq = proc.sim.now
-                    if writer:
-                        occupancy["w"] += 1
-                        assert occupancy["w"] == 1 and occupancy["n"] == 0, \
-                            "rw exclusion violated"
-                    else:
-                        occupancy["n"] += 1
-                        assert occupancy["w"] == 0, "rw exclusion violated"
-                    yield from proc.delay(cs_cycles)
-                    if writer:
-                        occupancy["w"] -= 1
-                    else:
-                        occupancy["n"] -= 1
-                    if measured:
-                        spans.append(RwSpan(
-                            cpu=proc.cpu_id, kind="w" if writer else "r",
-                            ticket=ticket, acquired=t_acq,
-                            released=proc.sim.now))
-                    if writer:
-                        yield from lock.release_write(proc)
-                    else:
-                        yield from lock.release_read(proc)
-                    if measured and tracer is not None:
-                        tracer.add_span(f"cpu{proc.cpu_id}", EPISODE_SPAN,
-                                        t0, proc.sim.now)
-                    yield from proc.delay(think_cycles)
-            return thread
-
-        make_thread = (make_rw_thread if lock_type == "rw"
-                       else make_queue_thread)
-
-        if ctx is None:
-            if warmup_per_cpu:
-                machine.run_threads(make_thread(warmup_per_cpu, False))
-            if warm:
-                warm_cache.store(key, machine, lock, machine.snapshot(),
-                                 lock.save_state())
-        start = machine.last_completion_time
-        before = machine.net.stats.snapshot()
-        if obs is not None and obs.sampler is not None:
-            obs.sampler.start()
-        machine.run_threads(make_thread(acquisitions_per_cpu, True))
-        total = machine.last_completion_time - start
-        traffic = machine.net.stats.delta_since(before)
-        machine.check_coherence_invariants()
-        _check_history(lock_type, spans, batch_threshold)
-        snapshot = None
-        if obs is not None:
-            analyzer = CriticalPathAnalyzer(machine)
-            obs.critical_path = analyzer.summarize(analyzer.analyze(tracer))
-            snapshot = obs.snapshot()
-    finally:
-        if obs is not None:
-            obs.detach()
-            tracer.detach()
+    run = measure(cfg, ("qlock", cfg, mechanism, lock_type, home_node,
+                        warmup_per_cpu, cs_cycles, think_cycles,
+                        batch_threshold),
+                  warm_cache, metrics, metrics_interval, build,
+                  make_rw_thread if lock_type == "rw" else make_queue_thread,
+                  warmup_per_cpu, acquisitions_per_cpu,
+                  verify=lambda: _check_history(lock_type, spans,
+                                                batch_threshold))
     return LockResult(
         mechanism=mechanism, lock_type=lock_type,
         n_processors=n_processors,
         acquisitions=acquisitions_per_cpu * n_processors,
-        total_cycles=total, traffic=traffic,
+        total_cycles=run.total_cycles, traffic=run.traffic,
         cs_cycles=cs_cycles, think_cycles=think_cycles,
-        acquire_latency=acquire_latency,
-        events_dispatched=machine.sim.events_dispatched,
-        metrics=snapshot)
+        acquire_latency=latencies,
+        events_dispatched=run.machine.sim.events_dispatched,
+        metrics=run.metrics)

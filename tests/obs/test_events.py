@@ -38,25 +38,6 @@ def test_timestamps_track_the_simulator(machine4):
     assert recs[0]["t"] == machine4.last_completion_time
 
 
-def test_attach_network_logs_sends(machine4):
-    buf = io.StringIO()
-    log = EventLog(buf)
-    log.attach_network(machine4)
-    assert log.sim is machine4.sim      # bound on attach
-    var = machine4.alloc("v", home_node=1)
-
-    def thread(proc):
-        yield from proc.load(var.addr)
-
-    machine4.run_threads(thread, cpus=[0])
-    sends = [r for r in records_of(buf) if r["event"] == "net.send"]
-    assert sends
-    first = sends[0]
-    assert {"t", "kind", "src", "dst", "hops", "bytes", "addr"} \
-        <= set(first)
-    assert first["addr"] == hex(var.addr)
-
-
 def test_non_json_values_are_stringified():
     buf = io.StringIO()
     EventLog(buf).emit("odd", value={1, 2})   # a set is not JSON-able

@@ -9,7 +9,7 @@ from repro.config.mechanism import Mechanism
 from repro.obs import validate_export, build_export
 from repro.runner import ParallelRunner, ResultCache
 from repro.runner.spec import RunSpec
-from repro.stats.runner import PointRecord, RunnerStats
+from repro.runner import PointRecord, RunnerStats
 
 
 def barrier_spec(metrics=False, interval=0):

@@ -14,6 +14,7 @@ machinery itself — the logged compiled→reference fallback, the
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -419,6 +420,63 @@ def test_deliver_surfaces_a_failed_attribute_read(backend, path, name):
     if backend == "accel" and model_core() is not None:
         # no Python frame of Network._deliver: the C path raised
         assert all(entry.name != "_deliver" for entry in err.traceback)
+
+
+class _InjectedSendError(RuntimeError):
+    """Raised by the test's ``net.send`` wrapper."""
+
+
+def _barrier_with_failing_send(backend, n):
+    """Run an 8-CPU LL/SC barrier whose ``n``-th ``net.send`` raises;
+    return the error text and the cycle it surfaced at."""
+    from repro.config.mechanism import Mechanism
+    from repro.config.parameters import SystemConfig
+    from repro.core.machine import Machine
+    from repro.sync.barrier import CentralizedBarrier
+
+    machine = Machine(SystemConfig.table1(8, kernel_backend=backend))
+    barrier = CentralizedBarrier(machine, Mechanism.LLSC)
+    send = machine.net.send
+    calls = []
+
+    def failing_send(msg):
+        calls.append(msg)
+        if len(calls) == n:
+            raise _InjectedSendError(f"send {n} failed")
+        return send(msg)
+
+    # the compiled egress coroutine fetches ``net.send`` generically, so
+    # an instance attribute reaches it as it reaches the Python coding
+    machine.net.send = failing_send
+
+    def thread(proc):
+        for _ in range(2):
+            yield from barrier.wait(proc)
+
+    with pytest.raises(_InjectedSendError) as err:
+        machine.run_threads(thread)
+    assert len(calls) == n
+    got = str(err.value), machine.sim.now
+    # the coroutines left suspended die with the machine, in reference
+    # cycles: their pending finally blocks must run on intact objects
+    del machine, barrier, send, calls, failing_send, thread, err
+    gc.collect()
+    return got
+
+
+@pytest.mark.parametrize("n", [1, 40, 150])
+def test_send_callback_error_surfaces_from_compiled_coroutine(
+        backend, n, monkeypatch):
+    """A Python callback that raises inside a compiled coroutine (here
+    ``net.send`` under ``Hub.egress_send``) surfaces from
+    ``run_threads`` as the same exception, at the same simulated cycle,
+    on every backend, and the abandoned coroutines finalize cleanly."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    got = _barrier_with_failing_send(backend, n)
+    assert got == _barrier_with_failing_send("reference", n)
+    assert got[0] == f"send {n} failed"
+    assert not unraisable
 
 
 # ---------------------------------------------------------------------------

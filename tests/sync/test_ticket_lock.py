@@ -1,11 +1,14 @@
 """Correctness tests for the ticket lock under all five mechanisms."""
 
+import statistics
+
 import pytest
 
 from repro.config.mechanism import Mechanism
 from repro.config.parameters import SystemConfig
 from repro.core.machine import Machine
 from repro.sync.ticket_lock import TicketLock
+from repro.trace import TraceRecorder
 
 ALL = list(Mechanism)
 
@@ -106,3 +109,25 @@ def test_amo_release_pushes_updates(machine4):
             + st.local_messages[MessageKind.WORD_UPDATE]) >= 1
     assert st.messages[MessageKind.INVALIDATE] \
         + st.local_messages[MessageKind.INVALIDATE] == 0
+
+
+def test_spin_time_is_fair_across_cpus():
+    """A FIFO lock spreads spin time evenly: the coefficient of
+    variation of per-CPU total time in ``spin_until`` stays below 1.5."""
+    machine = Machine(SystemConfig.table1(8))
+    tracer = TraceRecorder.attach(machine)
+    lock = TicketLock(machine, Mechanism.AMO)
+
+    def thread(proc):
+        for _ in range(2):
+            yield from lock.acquire(proc)
+            yield from proc.delay(60)
+            yield from lock.release(proc)
+            yield from proc.delay(100)
+
+    machine.run_threads(thread, max_events=4_000_000)
+    totals = [tracer.total_time_in(f"cpu{cpu}", "spin_until")
+              for cpu in range(8)]
+    mean = statistics.mean(totals)
+    assert mean > 0
+    assert statistics.pstdev(totals) / mean < 1.5

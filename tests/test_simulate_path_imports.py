@@ -3,8 +3,8 @@
 A fresh interpreter blocks the three packages (``sys.modules[m] =
 None`` makes any import of them raise), then imports the CLI and the
 runner and simulates a barrier, a metered ticket lock, a queue lock and
-one runner point.  numpy stays for :mod:`repro.apps` and the latency
-percentiles of :class:`~repro.stats.collector.LatencyStats`, networkx
+one runner point.  numpy stays for :mod:`repro.apps` and
+:func:`~repro.harness.report.fit_linear`, networkx
 for :meth:`~repro.network.topology.FatTreeTopology.as_graph`; both are
 imported inside the code that needs them, so start-up and every worker
 stay free of them (docs/performance.md, "Start-up and footprint").

@@ -1,5 +1,7 @@
 """Tests for the lock workload driver."""
 
+import statistics
+
 import pytest
 
 from repro.config.mechanism import Mechanism
@@ -56,14 +58,16 @@ def test_deterministic_repetition():
 def test_acquire_latency_distribution_collected():
     r = run_lock_workload(8, Mechanism.AMO, "ticket",
                           acquisitions_per_cpu=2)
-    assert len(r.acquire_latency) == 16
-    assert r.acquire_latency.p99 >= r.acquire_latency.p50 >= 0
+    lat = r.acquire_latency
+    assert len(lat) == 16
+    assert all(isinstance(cycles, int) for cycles in lat)
+    assert max(lat) >= statistics.median(lat) >= 0
 
 
 def test_fifo_lock_latency_spread_is_bounded():
-    """A FIFO lock's p99/p50 acquire-latency ratio stays moderate —
+    """A FIFO lock's max/median acquire-latency ratio stays moderate —
     tickets are served in order, so nobody starves."""
     r = run_lock_workload(8, Mechanism.AMO, "ticket",
                           acquisitions_per_cpu=3)
-    assert r.acquire_latency.maximum <= \
-        max(20 * r.acquire_latency.p50, 20_000)
+    lat = r.acquire_latency
+    assert max(lat) <= max(20 * statistics.median(lat), 20_000)

@@ -22,7 +22,7 @@ def test_driver_runs_and_counts(lock_type):
     assert r.acquisitions == 16
     assert r.cycles_per_acquisition > 0
     assert r.traffic.total_bytes > 0
-    assert len(r.acquire_latency._samples) == 16
+    assert len(r.acquire_latency) == 16
 
 
 @pytest.mark.parametrize("mech", ALL, ids=[m.value for m in ALL])
@@ -62,7 +62,7 @@ def test_deterministic_across_repeats():
     b = run_qlock_workload(8, Mechanism.LLSC, "cna", acquisitions_per_cpu=2)
     assert a.total_cycles == b.total_cycles
     assert a.traffic.total_bytes == b.traffic.total_bytes
-    assert a.acquire_latency._samples == b.acquire_latency._samples
+    assert a.acquire_latency == b.acquire_latency
 
 
 def test_warm_start_is_fingerprint_identical():
@@ -77,8 +77,7 @@ def test_warm_start_is_fingerprint_identical():
     assert first.total_cycles == cold.total_cycles
     assert warm.total_cycles == cold.total_cycles
     assert warm.traffic.total_bytes == cold.traffic.total_bytes
-    assert warm.acquire_latency._samples == \
-        cold.acquire_latency._samples
+    assert warm.acquire_latency == cold.acquire_latency
 
 
 def test_metrics_capture():

@@ -192,13 +192,13 @@ def main(argv=None) -> int:
         f"max_extra={args.max_extra}, reorder={args.reorder}",
         file=sys.stderr,
     )
-    from repro.stats.runner import make_progress
+    from repro.runner import stderr_progress
 
     runner = ParallelRunner(
         jobs=args.jobs,
         cache=None,
         timeout=args.timeout,
-        progress=make_progress(args.progress),
+        progress=stderr_progress if args.progress else None,
     )
     t0 = time.time()
     outcomes = runner.run_outcomes(specs)
