@@ -98,7 +98,7 @@ class CacheController:
         self.spin_wakeups = 0
         # deterministic per-CPU jitter source for LL/SC retry backoff,
         # created on the first retry: most CPUs never retry, and each
-        # Random carries ~2.5 KB of state (~24 KB once snapshotted)
+        # Random carries ~2.5 KB of state (as much again per snapshot)
         self._backoff_rng: Optional[random.Random] = None
         #: interventions answered from the writeback buffer (race where
         #: the home forwarded to us after we evicted but before our

@@ -6,12 +6,12 @@ warm-up episodes before measuring.  :class:`MachineSnapshot` checkpoints
 *all* mutable simulation state of a machine at quiescence — kernel clock
 and event counter, backing memory, caches and their LRU clocks, directory
 entries, AMU/MAO state, active-message dedup tables, per-CPU RNG streams
-(``None`` for a CPU that never retried an LL/SC, whose RNG is not yet
-created), every resource's utilization counters — so the warmed machine
-can be rewound and re-run any number of times.  A restored run is
-**cycle-for-cycle identical** to a fresh build+warm+run of the same
-configuration; the determinism-parity suite pins this with golden
-fingerprints at 32 and 512 CPUs.
+(packed Mersenne Twister words; ``None`` for a CPU that never retried an
+LL/SC, whose RNG is not yet created), every resource's utilization
+counters — so the warmed machine can be rewound and re-run any number
+of times.  A restored run is **cycle-for-cycle identical** to a fresh
+build+warm+run of the same configuration; the determinism-parity suite
+pins this with golden fingerprints at 32 and 512 CPUs.
 
 Why in-place restore instead of a copyable machine: model code is
 coroutines, and live generators cannot be copied.  At quiescence the only
@@ -29,6 +29,7 @@ later acquire for an equal config rewinds instead of reconstructing.
 
 from __future__ import annotations
 
+import struct
 from typing import TYPE_CHECKING, Optional
 
 from repro.amu.cache import AmuCacheEntry
@@ -36,6 +37,8 @@ from repro.cache.line import CacheLine
 from repro.coherence.client import backoff_rng
 
 if TYPE_CHECKING:  # pragma: no cover
+    import random
+
     from repro.config.parameters import SystemConfig
     from repro.core.machine import Machine
     from repro.sim.primitives import FifoQueue, Resource
@@ -71,27 +74,38 @@ def _queue_state(queue: "FifoQueue", where: str) -> tuple[int, int]:
 
 
 def _cache_state(cache) -> tuple:
-    sets = {
-        idx: {
-            addr: (ln.state, dict(ln.words), ln.dirty, ln.last_use)
-            for addr, ln in lines.items()
-        }
-        for idx, lines in cache._sets.items() if lines
-    }
-    return (sets, cache._stamp, cache.hits, cache.misses, cache.evictions,
+    # one flat record per resident line, grouped by set in the cache's
+    # set order: (set_idx, line_addr, state, words_items, dirty, last_use).
+    # Much smaller than a dict of per-line dicts; empty sets leave none.
+    lines = tuple(
+        (idx, addr, ln.state, tuple(ln.words.items()), ln.dirty,
+         ln.last_use)
+        for idx, entry in cache._sets.items() for addr, ln in entry.items())
+    return (lines, cache._stamp, cache.hits, cache.misses, cache.evictions,
             cache.invalidations, cache.word_updates)
 
 
 def _restore_cache(cache, state: tuple) -> None:
-    (sets, cache._stamp, cache.hits, cache.misses, cache.evictions,
+    (lines, cache._stamp, cache.hits, cache.misses, cache.evictions,
      cache.invalidations, cache.word_updates) = state
-    cache._sets.clear()
-    for idx, lines in sets.items():
-        cache._sets[idx] = {
-            addr: CacheLine(line_addr=addr, state=st, words=dict(words),
-                            dirty=dirty, last_use=last_use)
-            for addr, (st, words, dirty, last_use) in lines.items()
-        }
+    sets = cache._sets
+    sets.clear()
+    for idx, addr, st, words, dirty, last_use in lines:
+        sets[idx][addr] = CacheLine(addr, st, dict(words), dirty, last_use)
+
+
+#: a backoff RNG's Mersenne Twister state (624 words and the position),
+#: packed into 2.5 KB of bytes instead of a tuple of 625 boxed ints
+_MT_WORDS = struct.Struct("625I")
+
+
+def _rng_state(rng: Optional[random.Random], where: str) -> Optional[bytes]:
+    if rng is None:
+        return None
+    _, words, gauss_next = rng.getstate()
+    if gauss_next is not None:
+        raise SnapshotError(f"{where}: backoff RNG holds a cached gaussian")
+    return _MT_WORDS.pack(*words)
 
 
 # ----------------------------------------------------------------------
@@ -197,8 +211,7 @@ class MachineSnapshot:
             ctrl._reservation, meta,
             ctrl.sc_failures, ctrl.sc_successes, ctrl.spin_wakeups,
             ctrl.wb_race_interventions,
-            None if ctrl._backoff_rng is None
-            else ctrl._backoff_rng.getstate())
+            _rng_state(ctrl._backoff_rng, where))
 
     # ------------------------------------------------------------------
     def restore(self) -> None:
@@ -315,7 +328,7 @@ class MachineSnapshot:
             rng = ctrl._backoff_rng
             if rng is None:
                 rng = ctrl._backoff_rng = backoff_rng(proc.cpu_id)
-            rng.setstate(rng_state)
+            rng.setstate((rng.VERSION, _MT_WORDS.unpack(rng_state), None))
 
 
 # ----------------------------------------------------------------------
@@ -328,6 +341,8 @@ class MachinePool:
     the address space back too, so successive workloads re-allocate the
     same addresses a fresh machine would hand out — behaviourally
     indistinguishable from reconstruction, minus the construction cost.
+    A machine whose last run raised mid-simulation is replaced by a
+    fresh build.
     """
 
     def __init__(self) -> None:
@@ -341,6 +356,11 @@ class MachinePool:
         from repro.core.machine import Machine
 
         entry = self._entries.get(config)
+        if entry is not None and entry[0].sim.pending_events():
+            # a run that raised mid-simulation left events pending, so
+            # the machine can never be rewound: discard it, build afresh
+            del self._entries[config]
+            entry = None
         if entry is None:
             machine = Machine(config)
             # park the AMU dispatcher processes (their startup events are

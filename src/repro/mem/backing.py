@@ -36,8 +36,12 @@ class BackingStore:
         self.reads += 1
         base = word_base(line_addr)
         words = self._words
-        return {w: words[w] for w in range(base, base + line_bytes, WORD_BYTES)
-                if w in words}
+        # a plain loop: cheaper per call than the equivalent comprehension
+        out = {}
+        for w in range(base, base + line_bytes, WORD_BYTES):
+            if w in words:
+                out[w] = words[w]
+        return out
 
     def write_line(self, line_addr: int, words: dict[int, int]) -> None:
         """Write back a set of (word_addr -> value) pairs."""

@@ -60,7 +60,8 @@ class WarmCache:
     one pooled machine: each miss rewinds it to pristine, builds and
     warms its own sync object, and checkpoints; each hit rewinds to its
     own checkpoint.  Snapshots are independent data copies, so contexts
-    never interfere.
+    never interfere.  A run that raises mid-simulation strands its
+    machine: lookups then drop that machine's contexts as misses.
     """
 
     def __init__(self, pool: Optional[MachinePool] = None) -> None:
@@ -74,6 +75,13 @@ class WarmCache:
 
     def lookup(self, key: Hashable) -> Optional[WarmContext]:
         ctx = self._contexts.get(key)
+        if ctx is not None and ctx.machine.sim.pending_events():
+            # a failed run left its machine mid-simulation; the pool
+            # replaces that machine, so every context bound to it is dead
+            dead = ctx.machine
+            self._contexts = {k: c for k, c in self._contexts.items()
+                              if c.machine is not dead}
+            ctx = None
         if ctx is None:
             self.misses += 1
         else:

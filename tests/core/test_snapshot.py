@@ -9,6 +9,8 @@ clean as a fresh one.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.check.sanitizer import CoherenceSanitizer
@@ -220,6 +222,53 @@ def test_llsc_and_amo_points_share_a_pooled_machine():
               for key, ctx in warm._contexts.items()}
     assert states[Mechanism.AMO] == [None] * 16
     assert any(st is not None for st in states[Mechanism.LLSC])
+
+
+def _llsc_barrier_machine(n, backend="reference"):
+    """A quiescent ``n``-CPU machine after one LL/SC barrier episode."""
+    machine = Machine(SystemConfig.table1(n, kernel_backend=backend))
+    barrier = CentralizedBarrier(machine, Mechanism.LLSC)
+    machine.run_threads(_barrier_threads(barrier, 1))
+    return machine
+
+
+def _draw(machine):
+    """200 backoff draws from each live RNG, over the ceilings a retry
+    loop uses."""
+    return {p.cpu_id: [p.controller._backoff_rng.randrange(30 << (i % 8))
+                       for i in range(200)]
+            for p in machine.cpus if p.controller._backoff_rng is not None}
+
+
+@pytest.mark.parametrize("backend", ["reference", "accel"])
+def test_restore_replays_every_backoff_stream_exactly(backend):
+    machine = _llsc_barrier_machine(32, backend)
+    snap = machine.snapshot()
+    first = _draw(machine)
+    assert len(first) > 16
+    machine.restore(snap)
+    assert _draw(machine) == first
+    # a restore onto CPUs whose RNG is gone re-creates the same streams
+    for proc in machine.cpus:
+        proc.controller._backoff_rng = None
+    machine.restore(snap)
+    assert _draw(machine) == first
+
+
+def test_llsc_snapshot_stores_rng_state_compactly():
+    """Each retried CPU's RNG state is 2.5 KB of packed words, not a
+    tuple of 625 boxed ints (~24 KB), so a 256-CPU LL/SC checkpoint
+    stays under 6 KB per CPU."""
+    machine = _llsc_barrier_machine(256)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        snap = machine.snapshot()
+        size = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert sum(st is not None for st in _rng_states(snap)) > 200
+    assert size < 6 * 1024 * 256, size
 
 
 # ----------------------------------------------------------------------

@@ -479,6 +479,125 @@ def test_send_callback_error_surfaces_from_compiled_coroutine(
     assert not unraisable
 
 
+class _InjectedCallbackError(RuntimeError):
+    """Raised by a test's wrapper around a model callback."""
+
+
+#: phase length of the load/store run below, in cycles
+_PHASE = 20_000
+
+
+def _loads_and_stores_with_failing_callback(backend, cls, name, counted, n):
+    """Run 8 CPUs that load every 32-byte piece of four lines, then see
+    CPU 0 and later CPU 1 store to each line, while the ``n``-th call to
+    ``cls.name`` for which ``counted(self, *args)`` holds raises.
+    Return the error text and the cycle it surfaced at.
+
+    The phases are separated in time, so a load of a line's second
+    piece always hits the line its first piece brought into L2, and
+    every invalidation lands on a CPU that holds the line."""
+    from repro.config.parameters import SystemConfig
+    from repro.core.machine import Machine
+
+    machine = Machine(SystemConfig.table1(8, kernel_backend=backend))
+    lb = machine.config.l2.line_bytes
+    lines = []
+    for i in range(4):
+        var = machine.alloc(f"conformance.line{i}",
+                            home_node=i % machine.config.n_nodes,
+                            words=lb // 8)
+        lines.append(var.addr - var.addr % lb)
+
+    def thread(proc):
+        for writer in (0, 1):
+            for line in lines:
+                for off in range(0, lb, 32):
+                    yield from proc.load(line + off)
+            end = (2 * writer + 1) * _PHASE
+            assert proc.sim.now < end
+            yield from proc.delay(end - proc.sim.now)
+            if proc.cpu_id == writer:
+                for line in lines:
+                    yield from proc.store(line, writer + 1)
+            end += _PHASE
+            assert proc.sim.now < end
+            yield from proc.delay(end - proc.sim.now)
+
+    calls = []
+    original = getattr(cls, name)
+
+    def failing(self, *args):
+        if counted(self, *args):
+            calls.append(args)
+            if len(calls) == n:
+                raise _InjectedCallbackError(f"{name} call {n} failed")
+        return original(self, *args)
+
+    # patched on the class: the model classes are slotted, and the
+    # compiled ports look the method up generically on each call
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cls, name, failing)
+        with pytest.raises(_InjectedCallbackError) as err:
+            machine.run_threads(thread)
+    assert len(calls) == n
+    got = str(err.value), machine.sim.now
+    del machine, thread, calls, failing, err
+    gc.collect()
+    return got
+
+
+def _l2_hit_fill(ctrl, addr, value):
+    # the first piece of each line misses both levels; the others hit L2
+    return addr % ctrl.config.l2.line_bytes != 0
+
+
+def _invalidated_line_without_meta(ctrl, addr):
+    # the compiled invalidation updates an existing line meta itself and
+    # calls back only to create one; a store keeps its line resident
+    from repro.mem.address import line_base
+    return line_base(addr) not in ctrl._meta and ctrl.l2.probe(addr) is None
+
+
+def _every_call(*args):
+    return True
+
+
+def _callback(which):
+    from repro.coherence.client import CacheController
+    from repro.mem.backing import BackingStore
+    return {
+        "load_fill_l1": (CacheController, "_fill_l1", _l2_hit_fill),
+        "invalidate_line_changed": (CacheController, "_line_changed",
+                                    _invalidated_line_without_meta),
+        "get_s_read_line": (BackingStore, "read_line", _every_call),
+    }[which]
+
+
+@pytest.mark.parametrize("which,n", [
+    ("load_fill_l1", 1), ("load_fill_l1", 50), ("load_fill_l1", 192),
+    ("invalidate_line_changed", 1), ("invalidate_line_changed", 9),
+    ("invalidate_line_changed", 28),
+    ("get_s_read_line", 1), ("get_s_read_line", 20),
+    ("get_s_read_line", 64),
+])
+def test_model_callback_error_surfaces_from_compiled_port(
+        backend, which, n, monkeypatch):
+    """A Python callback that raises inside the compiled ``load`` (its
+    L1 fill on an L2 hit), ``_do_invalidate`` (its line-meta update) or
+    GET_S clean-read chain (its backing-store line read) surfaces from
+    ``run_threads`` as the same exception, at the same simulated cycle,
+    on every backend, and the abandoned coroutines finalize cleanly."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    cls, name, counted = _callback(which)
+    got = _loads_and_stores_with_failing_callback(backend, cls, name,
+                                                  counted, n)
+    assert got == _loads_and_stores_with_failing_callback(
+        "reference", cls, name, counted, n)
+    assert got[0] == f"{name} call {n} failed"
+    assert not unraisable
+
+
 # ---------------------------------------------------------------------------
 # determinism and cross-backend equivalence
 # ---------------------------------------------------------------------------

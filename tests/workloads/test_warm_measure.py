@@ -53,9 +53,46 @@ def test_failed_metered_run_leaves_its_pooled_machine_unobserved(where):
     (machine,) = machines
     assert machine.obs is None
     assert machine.tracer is None
-    if where == "verify":
-        # the run itself finished, so the pool can rewind the machine
-        assert cache.pool.acquire(cfg) is machine
+    # a finished run is rewound; one that raised mid-simulation left
+    # events pending, so the pool replaces its machine
+    again = cache.pool.acquire(cfg)
+    assert (again is machine) == (where == "verify")
+    assert not again.sim.pending_events()
+    # and the replacement measures what a fresh build measures
+    fresh = measure(cfg, "key", None, False, 0, build, _barrier_thread(),
+                    1, 2)
+    pooled = measure(cfg, "key", cache, False, 0, build, _barrier_thread(),
+                     1, 2)
+    assert pooled.machine is again
+    assert pooled.total_cycles == fresh.total_cycles
+    assert (pooled.machine.sim.events_dispatched
+            == fresh.machine.sim.events_dispatched)
+
+
+def test_failed_run_drops_the_warm_contexts_of_its_machine():
+    cache = WarmCache()
+    cfg = point_config(4, None, None)
+
+    def build(machine):
+        return CentralizedBarrier(machine, Mechanism.AMO)
+
+    def run(key, fail=False):
+        return measure(cfg, key, cache, False, 0, build,
+                       _barrier_thread(fail_measured=fail), 1, 2)
+
+    first = run("a")
+    with pytest.raises(_Boom):
+        run("b", fail=True)       # stores context "b", then fails
+    assert len(cache) == 2
+    # both contexts are bound to the stranded machine: the next lookup
+    # drops them, and the run rebuilds on a fresh pooled machine
+    replay = run("a")
+    assert replay.machine is not first.machine
+    assert replay.total_cycles == first.total_cycles
+    assert cache.hits == 0 and cache.misses == 3
+    assert len(cache) == 1
+    assert run("a").total_cycles == first.total_cycles
+    assert cache.hits == 1
 
 
 def test_mark_is_none_only_in_the_warm_up():
