@@ -252,7 +252,9 @@ def main(argv=None) -> int:
         print(f"# running AMO tree-crossover search on CPUs={cpus} ...",
               file=sys.stderr)
         results.append(ex.experiment_amo_tree_crossover(
-            cpus, episodes=args.episodes))
+            cpus, episodes=args.episodes, runner=runner,
+            metrics=args.metrics, metrics_interval=args.metrics_interval,
+            backend=args.backend))
     if want in ("fig1", "all"):
         results.append(ex.experiment_fig1())
 

@@ -22,7 +22,7 @@ from repro.config.mechanism import Mechanism
 from repro.harness import paper_data
 from repro.runner import ParallelRunner, RunSpec
 from repro.harness.report import TableFormatter, fit_linear
-from repro.workloads.barrier import BarrierResult, run_barrier_workload
+from repro.workloads.barrier import BarrierResult
 from repro.workloads.locks import LockResult
 from repro.workloads.qlocks import QLOCK_TYPES, qlock_supported
 
@@ -646,6 +646,10 @@ def experiment_amo_model(results: dict[tuple[int, Mechanism], BarrierResult],
 def experiment_amo_tree_crossover(cpu_counts: Sequence[int],
                                   episodes: int = 2,
                                   branchings: Sequence[int] = DEFAULT_BRANCHINGS,
+                                  runner: Optional[ParallelRunner] = None,
+                                  metrics: bool = False,
+                                  metrics_interval: int = 0,
+                                  backend: Optional[str] = None,
                                   ) -> ExperimentResult:
     """Flat AMO vs best AMO+tree across machine sizes.
 
@@ -654,27 +658,28 @@ def experiment_amo_tree_crossover(cpu_counts: Sequence[int],
     work."  This experiment produces the flat/tree ratio per size so the
     trend toward (or away from) a crossover is visible.
     """
+    keys = [(p, b) for p in cpu_counts for b in (None, *branchings)
+            if b is None or b < p]          # a tree needs two groups
+    specs = [RunSpec.barrier(n_processors=p, mechanism=Mechanism.AMO,
+                             episodes=episodes, tree_branching=b,
+                             metrics=metrics,
+                             metrics_interval=metrics_interval,
+                             backend=backend)
+             for p, b in keys]
+    results = dict(zip(keys, _runner_or_serial(runner).run(specs)))
     table = TableFormatter(
         ["CPUs", "flat AMO", "best AMO+tree", "best branching",
          "tree/flat"],
         title="Measured — flat AMO vs combining-tree AMO barriers")
     ratios = []
     for p in cpu_counts:
-        flat = run_barrier_workload(p, Mechanism.AMO, episodes=episodes)
-        best = None
-        best_b = None
-        for b in branchings:
-            if b >= p:
-                continue
-            res = run_barrier_workload(p, Mechanism.AMO, episodes=episodes,
-                                       tree_branching=b)
-            if best is None or res.cycles_per_episode < best.cycles_per_episode:
-                best, best_b = res, b
-        assert best is not None
+        flat = results[(p, None)]
+        best = min((results[(p, b)] for b in branchings if b < p),
+                   key=lambda res: res.cycles_per_episode)
         ratio = best.cycles_per_episode / flat.cycles_per_episode
         ratios.append(ratio)
         table.add_row([p, flat.cycles_per_episode, best.cycles_per_episode,
-                       best_b, ratio])
+                       best.tree_branching, ratio])
     small = [r for p, r in zip(cpu_counts, ratios) if p <= 64]
     checks = [
         Check("flat AMO wins at small-to-mid sizes (<= 64 CPUs), as the "

@@ -41,8 +41,9 @@ class Network:
         # node -> delivery handler; dense, so a list beats a dict probe
         self._handlers: list[Optional[Callable[[Message], None]]] = \
             [None] * n_nodes
-        # hooks observing every injected message (tracing, profiling,
-        # metrics) — see subscribe_send
+        # hooks observing every injected message (the trace recorder and
+        # the coherence sanitizer; metrics pull from self.stats instead)
+        # — see subscribe_send
         self._send_hooks: list[Callable[[Message, int], None]] = []
         # per-node link reservations (timestamp model, contention mode)
         self._uplink_free_at = [0] * n_nodes
@@ -81,7 +82,7 @@ class Network:
     def subscribe_send(self, hook: Callable[[Message, int], None]) -> None:
         """Add a ``hook(msg, hops)`` called on every injected message.
 
-        Hooks are observation-only (tracers, profilers, metrics) and are
+        Hooks are observation-only (tracer, sanitizer) and are
         invoked in subscription order; any number may be attached
         concurrently.  Subscribing the same callable twice is a no-op.
         """

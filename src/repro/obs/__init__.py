@@ -15,12 +15,14 @@ One observability layer spanning kernel -> coherence -> network -> runner:
   latency to cpu / coherence / network / amu / wait segments using the
   trace recorder's spans.
 * :mod:`repro.obs.snapshot` — snapshot merge across sweep points, and
-  :mod:`repro.obs.schema` — the export JSON schema plus a dependency-free
-  validator (``python -m repro.obs.schema out.json``).
+  :mod:`repro.obs.schema` — the export JSON schema, validated by walking
+  the schema document itself (``python -m repro.obs.schema out.json``).
+
+Per-message records are the trace's (:class:`repro.trace.TraceRecorder`);
+this package keeps aggregates only.
 """
 
 from repro.obs.critical_path import CriticalPathAnalyzer, EpisodeBreakdown
-from repro.obs.events import EventLog
 from repro.obs.machine import MachineMetrics
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.sampler import Sampler
@@ -30,7 +32,7 @@ from repro.obs.snapshot import build_export, merge_snapshots
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "MachineMetrics", "Sampler",
-    "CriticalPathAnalyzer", "EpisodeBreakdown", "EventLog",
+    "CriticalPathAnalyzer", "EpisodeBreakdown",
     "merge_snapshots", "build_export",
     "validate_snapshot", "validate_export",
 ]

@@ -1,10 +1,14 @@
-"""Export schema for metrics snapshots, plus a dependency-free validator.
+"""Export schema for metrics snapshots, and a validator that reads it.
 
-The JSON-Schema document (:data:`EXPORT_JSON_SCHEMA`) describes the file
-written by ``repro-experiments --metrics-out``; CI validates every smoke
-sweep against it.  Since the toolchain must not grow dependencies, the
-actual validation is a small hand-rolled structural checker implementing
-exactly the subset the schema uses — run it as::
+The JSON-Schema documents (:data:`SNAPSHOT_JSON_SCHEMA`,
+:data:`EXPORT_JSON_SCHEMA`) describe the file written by
+``repro-experiments --metrics-out``; CI validates every smoke sweep
+against them.  The toolchain must not grow dependencies, so validation
+is a small walker over the keyword subset the documents use
+(``const``, ``type``, ``required``, ``properties``,
+``additionalProperties``, ``items``); ``$schema`` and ``title`` are
+annotations.  A keyword outside that subset would be ignored, so one
+added to the documents needs a line in :func:`_walk`.  Run it as::
 
     python -m repro.obs.schema out.json
 
@@ -37,16 +41,17 @@ SNAPSHOT_JSON_SCHEMA: dict = {
                 "type": "object",
                 "required": ["count", "sum", "min", "max", "buckets"],
                 "properties": {
-                    "count": _NUM, "sum": _NUM, "min": _NUM, "max": _NUM,
-                    "buckets": {"type": "object",
-                                "additionalProperties": _NUM},
+                    "count": _NUM,
+                    "sum": _NUM,
+                    "min": _NUM,
+                    "max": _NUM,
+                    "buckets": _COUNTER_MAP,
                 },
             },
         },
         "series": {
             "type": "array",
-            "items": {"type": "object", "required": ["t"],
-                      "additionalProperties": _NUM},
+            "items": {"type": "object", "required": ["t"], "additionalProperties": _NUM},
         },
         "critical_path": {
             "type": "object",
@@ -88,119 +93,55 @@ EXPORT_JSON_SCHEMA: dict = {
 
 
 # ---------------------------------------------------------------------------
-# hand-rolled structural validation (no jsonschema dependency)
+# validation: one walker over the schema subset the documents use
 # ---------------------------------------------------------------------------
 
-def _is_num(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float)}
 
 
-def _check_num_map(obj: Any, path: str, errors: list[str]) -> None:
-    if not isinstance(obj, dict):
-        errors.append(f"{path}: expected object, got {type(obj).__name__}")
+def _walk(schema: dict, value: Any, path: str, errors: list[str]) -> None:
+    """Append to ``errors`` every way ``value`` at ``path`` breaks ``schema``."""
+    expected = schema.get("const", value)
+    if value != expected:
+        errors.append(f"{path}: expected {expected!r}, got {value!r}")
         return
-    for key, value in obj.items():
-        if not _is_num(value):
-            errors.append(f"{path}.{key}: expected number, "
-                          f"got {type(value).__name__}")
+    kind = schema.get("type")
+    if kind and (isinstance(value, bool) or not isinstance(value, _TYPES[kind])):
+        errors.append(f"{path}: expected {kind}, got {type(value).__name__}")
+        return
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                errors.append(f"{path}.{key}: missing")
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties")
+        for key, item in value.items():
+            sub = props.get(key, extra)
+            if sub is not None:
+                _walk(sub, item, f"{path}.{key}", errors)
+    elif isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _walk(schema["items"], item, f"{path}[{i}]", errors)
 
 
 def validate_snapshot(snap: Any, path: str = "$") -> list[str]:
-    """Structural errors in one registry snapshot ([] = valid)."""
+    """Errors in one registry snapshot against :data:`SNAPSHOT_JSON_SCHEMA` ([] = valid)."""
     errors: list[str] = []
-    if not isinstance(snap, dict):
-        return [f"{path}: expected object, got {type(snap).__name__}"]
-    if snap.get("schema") != SNAPSHOT_SCHEMA:
-        errors.append(f"{path}.schema: expected {SNAPSHOT_SCHEMA!r}, "
-                      f"got {snap.get('schema')!r}")
-    for section in ("counters", "gauges"):
-        if section not in snap:
-            errors.append(f"{path}.{section}: missing")
-        else:
-            _check_num_map(snap[section], f"{path}.{section}", errors)
-    hists = snap.get("histograms")
-    if hists is None:
-        errors.append(f"{path}.histograms: missing")
-    elif not isinstance(hists, dict):
-        errors.append(f"{path}.histograms: expected object")
-    else:
-        for name, hist in hists.items():
-            hpath = f"{path}.histograms.{name}"
-            if not isinstance(hist, dict):
-                errors.append(f"{hpath}: expected object")
-                continue
-            for key in ("count", "sum", "min", "max"):
-                if not _is_num(hist.get(key)):
-                    errors.append(f"{hpath}.{key}: expected number")
-            buckets = hist.get("buckets")
-            if not isinstance(buckets, dict):
-                errors.append(f"{hpath}.buckets: expected object")
-            else:
-                _check_num_map(buckets, f"{hpath}.buckets", errors)
-    series = snap.get("series")
-    if series is not None:
-        if not isinstance(series, list):
-            errors.append(f"{path}.series: expected array")
-        else:
-            for i, sample in enumerate(series):
-                if not isinstance(sample, dict) or not _is_num(
-                        sample.get("t")):
-                    errors.append(f"{path}.series[{i}]: expected object "
-                                  "with numeric 't'")
-                    continue
-                _check_num_map(sample, f"{path}.series[{i}]", errors)
-    cp = snap.get("critical_path")
-    if cp is not None:
-        cpath = f"{path}.critical_path"
-        if not isinstance(cp, dict):
-            errors.append(f"{cpath}: expected object")
-        else:
-            for key in ("episodes", "total_cycles"):
-                if not _is_num(cp.get(key)):
-                    errors.append(f"{cpath}.{key}: expected number")
-            if "segments" not in cp:
-                errors.append(f"{cpath}.segments: missing")
-            else:
-                _check_num_map(cp["segments"], f"{cpath}.segments", errors)
+    _walk(SNAPSHOT_JSON_SCHEMA, snap, path, errors)
     return errors
 
 
 def validate_export(doc: Any) -> list[str]:
-    """Structural errors in a ``--metrics-out`` document ([] = valid)."""
+    """Errors in a ``--metrics-out`` document against :data:`EXPORT_JSON_SCHEMA` ([] = valid)."""
     errors: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"$: expected object, got {type(doc).__name__}"]
-    if doc.get("schema") != EXPORT_SCHEMA:
-        errors.append(f"$.schema: expected {EXPORT_SCHEMA!r}, "
-                      f"got {doc.get('schema')!r}")
-    if not isinstance(doc.get("tool"), str):
-        errors.append("$.tool: expected string")
-    points = doc.get("points")
-    if not isinstance(points, list):
-        errors.append("$.points: expected array")
-    else:
-        for i, point in enumerate(points):
-            if not isinstance(point, dict):
-                errors.append(f"$.points[{i}]: expected object")
-                continue
-            if not isinstance(point.get("label"), str):
-                errors.append(f"$.points[{i}].label: expected string")
-            errors += validate_snapshot(point.get("metrics"),
-                                        f"$.points[{i}].metrics")
-    if "aggregate" not in doc:
-        errors.append("$.aggregate: missing")
-    else:
-        errors += validate_snapshot(doc["aggregate"], "$.aggregate")
-    if "runner" in doc:
-        _check_num_map(doc["runner"], "$.runner", errors)
+    _walk(EXPORT_JSON_SCHEMA, doc, "$", errors)
     return errors
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
-        print("usage: python -m repro.obs.schema EXPORT.json",
-              file=sys.stderr)
+        print("usage: python -m repro.obs.schema EXPORT.json", file=sys.stderr)
         return 2
     with open(argv[0]) as fh:
         doc = json.load(fh)
@@ -211,8 +152,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     n_points = len(doc.get("points", []))
     counters = len(doc.get("aggregate", {}).get("counters", {}))
-    print(f"valid: {argv[0]} ({n_points} points, "
-          f"{counters} aggregate counters)")
+    print(f"valid: {argv[0]} ({n_points} points, {counters} aggregate counters)")
     return 0
 
 

@@ -31,7 +31,6 @@ default for library callers.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import signal
 import time
 import traceback
@@ -74,13 +73,10 @@ Outcome = Union[RunRecord, RunFailure]
 def _execute_with_timeout(spec: RunSpec, timeout: Optional[float]) -> RunRecord:
     """Run one spec, bounding wall time with an interval timer.
 
-    ``REPRO_DISABLE_SIGALRM=1`` skips the timer (the pool watchdog is
-    then the only enforcement) — set by tests to exercise the watchdog
-    path on platforms that *do* have ``SIGALRM``.
+    Without ``SIGALRM`` (or off the main thread) the run is unbounded
+    here, and the pool watchdog is the only enforcement.
     """
     if not timeout:
-        return execute_spec(spec)
-    if os.environ.get("REPRO_DISABLE_SIGALRM", "0") == "1":
         return execute_spec(spec)
 
     def _alarm(_signum, _frame):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.harness.cli import main
+from repro.runner import RunnerError
 
 
 @pytest.fixture(autouse=True)
@@ -60,6 +61,27 @@ def test_amo_tree_experiment_via_cli(capsys):
     out = capsys.readouterr().out
     assert "amo-tree" in out.lower() or "AMO combining-tree" in out
     assert rc == 0
+
+
+@pytest.mark.parametrize("experiment", ["table2", "amo-tree"])
+def test_unknown_backend_fails_every_experiment(experiment, capsys):
+    """amo-tree runs its points through the runner like table2 does, so
+    --backend reaches the workload and an unknown name fails the run."""
+    with pytest.raises(RunnerError, match="unknown kernel backend"):
+        main([experiment, "--cpus", "16", "--episodes", "1",
+              "--backend", "nonexistent"])
+
+
+def test_amo_tree_metrics_export_has_every_point(tmp_path, capsys):
+    import json
+    from repro.obs import validate_export
+    out = tmp_path / "metrics.json"
+    assert main(["amo-tree", "--cpus", "16", "--episodes", "1",
+                 "--metrics-out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert validate_export(doc) == []
+    assert len(doc["points"]) == 3          # flat, then branching 4 and 8
 
 
 def test_warm_cache_second_invocation_skips_all_simulation(capsys):

@@ -1,17 +1,19 @@
-"""Multi-subscriber send hooks: tracer, profiler and metrics compose.
+"""Multi-subscriber send hooks: tracer, sanitizer and metrics compose.
 
 Regression for the single-slot ``net.on_send`` attribute the seed code
 used: attaching a second observer silently replaced the first, so the
-attach *order* of tracer / sharing profiler / metrics decided which one
-saw traffic.  ``subscribe_send`` keeps a hook list.
+attach *order* of the observers decided which one saw traffic.
+``subscribe_send`` keeps a hook list; the trace recorder and the
+coherence sanitizer subscribe to it, metrics pull from the traffic
+counters, and every observer's ``detach`` leaves the list empty.
 """
 
 import pytest
 
+from repro.check.sanitizer import CoherenceSanitizer
 from repro.network.fabric import Network
 from repro.network.message import Message, MessageKind
 from repro.obs import MachineMetrics
-from repro.profiler import SharingProfiler
 from repro.sim.kernel import Simulator
 from repro.trace import TraceRecorder
 
@@ -74,11 +76,11 @@ def test_tracer_profiler_metrics_compose_in_any_order(machine8, order):
     """The original bug: whichever observer attached last won."""
     if order == "tracer-first":
         tracer = TraceRecorder.attach(machine8)
-        profiler = SharingProfiler.attach(machine8)
+        sanitizer = CoherenceSanitizer.attach(machine8)
         obs = MachineMetrics.attach(machine8)
     else:
         obs = MachineMetrics.attach(machine8)
-        profiler = SharingProfiler.attach(machine8)
+        sanitizer = CoherenceSanitizer.attach(machine8)
         tracer = TraceRecorder.attach(machine8)
     var = machine8.alloc("v", home_node=1)
 
@@ -90,4 +92,9 @@ def test_tracer_profiler_metrics_compose_in_any_order(machine8, order):
     assert tracer.instants                         # tracer saw messages
     hops = obs.snapshot()["histograms"]["network.msg_hops"]
     assert hops["count"] > 0                       # metrics saw messages
-    assert profiler.lines_profiled > 0             # profiler saw messages
+    assert sanitizer.messages_checked > 0          # sanitizer saw messages
+    assert sanitizer.ok
+    tracer.detach()
+    sanitizer.detach()
+    obs.detach()
+    assert machine8.net._send_hooks == []

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -166,9 +167,10 @@ def test_per_run_timeout_enforced_serially():
 @needs_fork
 def test_pool_watchdog_enforces_timeout_without_sigalrm(monkeypatch):
     """On platforms where SIGALRM doesn't fire inside pool workers the
-    parent-side watchdog must still kill a runaway run.  The env knob
-    forces that path so the watchdog is exercised on every host."""
-    monkeypatch.setenv("REPRO_DISABLE_SIGALRM", "1")
+    parent-side watchdog must still kill a runaway run.  Removing
+    ``signal.SIGALRM`` (fork-started workers inherit the removal) forces
+    that path so the watchdog is exercised on every host."""
+    monkeypatch.delattr(signal, "SIGALRM")
     runner = ParallelRunner(jobs=2, timeout=0.3, retries=0)
     start = time.monotonic()
     outcomes = runner.run_outcomes([RunSpec.make("t-sleep", seconds=30)])
@@ -181,7 +183,7 @@ def test_pool_watchdog_enforces_timeout_without_sigalrm(monkeypatch):
 
 @needs_fork
 def test_pool_watchdog_leaves_fast_runs_alone(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_SIGALRM", "1")
+    monkeypatch.delattr(signal, "SIGALRM")
     runner = ParallelRunner(jobs=2, timeout=5.0)
     assert runner.run([RunSpec.make("t-echo", value=11)]) == [11]
 
