@@ -26,7 +26,7 @@ from typing import Callable, Optional, TYPE_CHECKING
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.line import CacheLine
 from repro.cache.state import LineState
-from repro.mem.address import home_of, line_base
+from repro.mem.address import LINE_BYTES, NODE_SHIFT, home_of, line_base
 from repro.network.message import Message, MessageKind
 from repro.sim.primitives import Gate, Signal, Timeout
 
@@ -389,25 +389,29 @@ class CacheController:
         line is not left resident; WORD_UPDATEs that overtake the fill
         are buffered and applied at install time so no wake-up is lost.
         """
-        line_addr = line_base(addr)
+        # line_base and home_of inlined: this runs once per miss
+        line_addr = addr - addr % LINE_BYTES
+        inflight = self._inflight
         # One outstanding fill per line per controller: a second context
         # (an active-message handler sharing this CPU) waits its turn.
-        while line_addr in self._inflight:
-            yield _fill_done_of(self._inflight[line_addr]).wait()
+        while line_addr in inflight:
+            yield _fill_done_of(inflight[line_addr]).wait()
         # fill_done is created lazily — only a second context racing the
         # same line ever waits on it, and fills outnumber races ~1000:1
         mshr = {"poisoned": False, "updates": [], "exclusive": exclusive,
                 "fill_done": None}
-        self._inflight[line_addr] = mshr
+        inflight[line_addr] = mshr
         try:
+            home = (addr >> NODE_SHIFT) - 1
+            if home < 0:
+                home_of(addr)  # raises its ValueError
             sig = Signal()
-            kind = MessageKind.GET_X if exclusive else MessageKind.GET_S
             yield self.hub.egress_send(Message(
-                kind=kind, src_node=self.node, dst_node=home_of(addr),
-                addr=addr, reply_to=sig, requester=self.cpu_id))
+                MessageKind.GET_X if exclusive else MessageKind.GET_S,
+                self.node, home, addr, None, None, sig, self.cpu_id))
             reply = yield sig.wait()
         finally:
-            self._inflight.pop(line_addr, None)
+            inflight.pop(line_addr, None)
         if reply.kind is MessageKind.INTERVENTION_REPLY:
             state = (LineState.EXCLUSIVE if reply.value == "exclusive"
                      else LineState.SHARED)
@@ -480,22 +484,22 @@ class CacheController:
 
     def _do_invalidate(self, msg: Message):
         yield self._t_l2
-        line = line_base(msg.addr)
+        addr = msg.addr
+        line = addr - addr % LINE_BYTES
         mshr = self._inflight.get(line)
         if mshr is not None and not mshr["exclusive"]:
             # Poison only read fills: an invalidation racing our own
             # GET_X targets the pre-upgrade copy; the exclusive reply
             # (serialized later at the directory) supersedes it.
             mshr["poisoned"] = True
-        self.l1.invalidate(msg.addr)
-        self.l2.invalidate(msg.addr)
+        self.l1.invalidate(addr)
+        self.l2.invalidate(addr)
         if self._reservation == line:
             self._reservation = None
-        self._line_changed(msg.addr)
+        self._line_changed(addr)
         yield from self.hub.egress_send(Message(
-            kind=MessageKind.INV_ACK, src_node=self.node,
-            dst_node=msg.src_node, addr=msg.addr, payload=msg.payload,
-            requester=self.cpu_id))
+            MessageKind.INV_ACK, self.node, msg.src_node, addr, None,
+            msg.payload, None, self.cpu_id))
 
     def on_intervention(self, msg: Message) -> None:
         self.sim.spawn(self._do_intervention(msg), name=self._name_intervene)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.coherence.directory import Directory, DirState
-from repro.mem.address import line_base, word_base
+from repro.mem.address import LINE_BYTES, line_base, word_base
 from repro.network.message import Message, MessageKind
 from repro.sim.backends.wave import expand_wave, wave_builder
 from repro.sim.primitives import Signal, Timeout
@@ -57,7 +57,7 @@ class HomeEngine:
                  "writebacks_served", "invalidations_sent",
                  "interventions_sent", "word_updates_pushed", "_t_dir",
                  "_name_get_s", "_name_get_x", "_name_wb", "_name_readfill",
-                 "_build_wave")
+                 "_build_wave", "_line_bytes")
 
     def __init__(self, hub: "Hub") -> None:
         self.hub = hub
@@ -78,6 +78,8 @@ class HomeEngine:
         # fixed directory-occupancy delay: Timeout is stateless, reuse one
         self._t_dir = Timeout(self.config.hub.hub_to_cpu(
             self.config.hub.directory_occupancy_hub_cycles))
+        # the config's line_bytes is a property; read it once
+        self._line_bytes = self.config.line_bytes
         # spawn names precomputed once: handle() runs per request message
         self._name_get_s = f"getS@{self.node}"
         self._name_get_x = f"getX@{self.node}"
@@ -120,7 +122,8 @@ class HomeEngine:
         # Split so the compiled backend's GET_S port can run the clean
         # path in C and delegate only the 3-hop tail to Python.
         self.get_s_served += 1
-        ent = self.directory.entry(line_base(msg.addr))
+        addr = msg.addr
+        ent = self.directory.entry(addr - addr % LINE_BYTES)  # line_base
         yield ent.busy.acquire()
         try:
             yield self._t_dir
@@ -163,7 +166,7 @@ class HomeEngine:
         release-consistency semantics (§3.2): AMU values become visible
         at the put (test match / eviction), not before.
         """
-        words = self.backing.read_line(ent.line_addr, self.config.line_bytes)
+        words = self.backing.read_line(ent.line_addr, self._line_bytes)
         ent.sharer_mask |= 1 << msg.requester
         ent.state = DirState.SHARED
         ent.version += 1
@@ -174,9 +177,8 @@ class HomeEngine:
         """Coroutine: the pipelined tail of a clean GET_S (DRAM + reply)."""
         yield from self.dram.access_line()
         yield from self.hub.egress_send(Message(
-            kind=MessageKind.DATA_S, src_node=self.node,
-            dst_node=msg.src_node, addr=msg.addr, payload=words,
-            reply_to=msg.reply_to, requester=msg.requester))
+            MessageKind.DATA_S, self.node, msg.src_node, msg.addr, None,
+            words, msg.reply_to, msg.requester))
 
     # ------------------------------------------------------------------
     # GET_X — store miss / upgrade / LL-SC upgrade / atomic fetch
@@ -222,7 +224,7 @@ class HomeEngine:
     def _reply_data_x(self, msg: Message, ent) -> object:
         line = ent.line_addr
         yield self.dram.access_line()
-        words = self.backing.read_line(line, self.config.line_bytes)
+        words = self.backing.read_line(line, self._line_bytes)
         ent.sharer_mask = 0
         ent.owner = msg.requester
         ent.state = DirState.EXCLUSIVE

@@ -26,7 +26,6 @@ from repro.obs.critical_path import CriticalPathAnalyzer, EpisodeBreakdown
 from repro.obs.machine import MachineMetrics
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.sampler import Sampler
-from repro.obs.schema import validate_export, validate_snapshot
 from repro.obs.snapshot import build_export, merge_snapshots
 
 __all__ = [
@@ -36,3 +35,13 @@ __all__ = [
     "merge_snapshots", "build_export",
     "validate_snapshot", "validate_export",
 ]
+
+
+def __getattr__(name: str):
+    # The validators load repro.obs.schema on first use, so that
+    # ``python -m repro.obs.schema`` does not find the module imported
+    # already (runpy would warn and run its body twice).
+    if name in ("validate_export", "validate_snapshot"):
+        from repro.obs import schema
+        return getattr(schema, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -49,7 +49,7 @@ static PyObject *g_SimulationError;   /* repro.sim.kernel.SimulationError */
 static PyObject *g_Process;           /* repro.sim.process.Process        */
 static PyTypeObject *g_ProcessType;
 static PyTypeObject *g_TimeoutType;   /* repro.sim.primitives.Timeout     */
-static PyTypeObject *g_WaitType, *g_GateWaitType, *g_AcquireType,
+static PyTypeObject *g_GateWaitType, *g_AcquireType,
     *g_QueueGetType, *g_JoinType;
 static PyTypeObject *g_SignalType, *g_GateType, *g_ResourceType,
     *g_FifoQueueType;
@@ -92,7 +92,7 @@ static PyObject *s_sim, *s_send, *s_stats, *s_config, *s_handlers,
     *s_packet_bytes, *s_try_fire, *s_pulse, *s_line_changed,
     *s_updates, *s_apply_word_update, *s_net, *s_carries_line,
     *s_load_miss, *s_fill_l1, *s_exclusive, *s_poisoned,
-    *s_entry, *s_read_line, *s_spawn, *s_line_bytes, *s_get_s_owned;
+    *s_entry, *s_read_line, *s_spawn, *s_get_s_owned;
 
 /* --------------------------------------------------------------------
  * Slot-offset specialization.
@@ -114,8 +114,8 @@ static int g_fast = 0;
 /* Process */
 static Py_ssize_t off_p_gen, off_p_stack, off_p_name, off_p_sim,
     off_p_done, off_p_result, off_p_error, off_p_waiters, off_p_rn;
-/* JoinCmd / Wait / GateWait / Acquire / QueueGet (the yielded cmds) */
-static Py_ssize_t off_j_target, off_w_signal, off_gw_gate, off_a_resource,
+/* JoinCmd / GateWait / Acquire / QueueGet (the yielded cmds) */
+static Py_ssize_t off_j_target, off_gw_gate, off_a_resource,
     off_qg_queue;
 /* Signal / Gate / Resource / FifoQueue (the cmds' referents) */
 static Py_ssize_t off_s_waiters, off_s_fired, off_s_value;
@@ -140,7 +140,7 @@ static Py_ssize_t off_lm_version, off_lm_gate;
 static Py_ssize_t off_r_acquire;
 static Py_ssize_t off_r_busy_cycles;
 static Py_ssize_t off_he_dram, off_he_backing, off_he_dir, off_he_sim,
-    off_he_hub, off_he_node, off_he_config, off_he_gets, off_he_tdir,
+    off_he_hub, off_he_node, off_he_lb, off_he_gets, off_he_tdir,
     off_he_name_rf;
 static Py_ssize_t off_de_line, off_de_state, off_de_mask, off_de_owner,
     off_de_busy, off_de_version;
@@ -774,12 +774,12 @@ resume_impl(SimObject *self, PyObject *proc, PyObject *value_in,
              * the generic attribute-protocol path below, which runs the
              * Python ``_arm`` unchanged. */
             PyTypeObject *ct = Py_TYPE(cmd);
-            if (ct == g_WaitType || ct == g_GateWaitType) {
-                /* Wait/GateWait: already fired/open resumes now with the
-                 * stored value, otherwise park on the waiter list */
-                int is_wait = (ct == g_WaitType);
-                PyObject *src = SLOT(cmd,
-                                     is_wait ? off_w_signal : off_gw_gate);
+            if (ct == g_SignalType || ct == g_GateWaitType) {
+                /* Signal (its own wait primitive)/GateWait: already
+                 * fired/open resumes now with the stored value,
+                 * otherwise park on the waiter list */
+                int is_wait = (ct == g_SignalType);
+                PyObject *src = is_wait ? cmd : SLOT(cmd, off_gw_gate);
                 if (src != NULL &&
                         Py_IS_TYPE(src, is_wait ? g_SignalType : g_GateType)) {
                     PyObject *waiters = SLOT(
@@ -927,7 +927,7 @@ resume_impl(SimObject *self, PyObject *proc, PyObject *value_in,
                         PyErr_Format(
                             g_SimulationError,
                             "process %R yielded non-primitive %R; yield "
-                            "Timeout/Wait/Acquire/... or use 'yield from' "
+                            "Timeout/Signal/Acquire/... or use 'yield from' "
                             "for sub-coroutines", pname, cmd);
                         Py_DECREF(pname);
                     }
@@ -3463,24 +3463,20 @@ coro_step(CoroObject *co, PyObject *arg, PyObject *exc, PyObject **result)
             /* clean read (HomeEngine._get_s_clean replica) */
             {
                 PyObject *backing = SLOT(eng, off_he_backing);
-                PyObject *cfg = SLOT(eng, off_he_config);
+                PyObject *lb = SLOT(eng, off_he_lb);
                 PyObject *sim_obj = SLOT(eng, off_he_sim);
                 PyObject *req = SLOT(msg, off_m_requester);
                 PyObject *line_obj = SLOT(ent, off_de_line);
                 PyObject *mask = SLOT(ent, off_de_mask);
-                if (backing == NULL || cfg == NULL || sim_obj == NULL
+                if (backing == NULL || lb == NULL || sim_obj == NULL
                         || req == NULL || line_obj == NULL
                         || mask == NULL) {
                     PyErr_SetString(PyExc_AttributeError,
                                     "home engine slots incomplete");
                     goto gets_err_rel;
                 }
-                PyObject *lb = PyObject_GetAttr(cfg, s_line_bytes);
-                if (lb == NULL)
-                    goto gets_err_rel;
                 PyObject *words = PyObject_CallMethodObjArgs(
                     backing, s_read_line, line_obj, lb, NULL);
-                Py_DECREF(lb);
                 if (words == NULL)
                     goto gets_err_rel;
                 PyObject *bit = PyNumber_Lshift(g_one, req);
@@ -4112,7 +4108,7 @@ mod_arm_model(PyObject *mod, PyObject *spec)
     off_he_sim = slot_off((PyObject *)g_HomeType, "sim");
     off_he_hub = slot_off((PyObject *)g_HomeType, "hub");
     off_he_node = slot_off((PyObject *)g_HomeType, "node");
-    off_he_config = slot_off((PyObject *)g_HomeType, "config");
+    off_he_lb = slot_off((PyObject *)g_HomeType, "_line_bytes");
     off_he_gets = slot_off((PyObject *)g_HomeType, "get_s_served");
     off_he_tdir = slot_off((PyObject *)g_HomeType, "_t_dir");
     off_he_name_rf = slot_off((PyObject *)g_HomeType, "_name_readfill");
@@ -4140,7 +4136,7 @@ mod_arm_model(PyObject *mod, PyObject *spec)
         off_cl_lastuse, off_lm_version, off_lm_gate,
         off_r_busy_cycles, off_r_acquire,
         off_he_dram, off_he_backing, off_he_dir, off_he_sim, off_he_hub,
-        off_he_node, off_he_config, off_he_gets, off_he_tdir,
+        off_he_node, off_he_lb, off_he_gets, off_he_tdir,
         off_he_name_rf, off_de_line, off_de_state, off_de_mask,
         off_de_owner, off_de_busy, off_de_version, off_dr_chan,
         off_dr_lineacc, off_dr_t_occ, off_dr_t_res, off_dr_resid,
@@ -4245,7 +4241,6 @@ intern_all(void)
     INTERN(s_entry, "entry");
     INTERN(s_read_line, "read_line");
     INTERN(s_spawn, "spawn");
-    INTERN(s_line_bytes, "line_bytes");
     INTERN(s_get_s_owned, "_get_s_owned");
 #undef INTERN
     return 0;
@@ -4284,7 +4279,6 @@ resolve_offsets(void)
     off_p_waiters = slot_off(proc_cls, "_waiters");
     off_p_rn = slot_off(proc_cls, "_rn");
     off_j_target = slot_off((PyObject *)g_JoinType, "target");
-    off_w_signal = slot_off((PyObject *)g_WaitType, "signal");
     off_gw_gate = slot_off((PyObject *)g_GateWaitType, "gate");
     off_a_resource = slot_off((PyObject *)g_AcquireType, "resource");
     off_qg_queue = slot_off((PyObject *)g_QueueGetType, "queue");
@@ -4304,7 +4298,7 @@ resolve_offsets(void)
     const Py_ssize_t offs[] = {
         off_p_gen, off_p_stack, off_p_name, off_p_sim, off_p_done,
         off_p_result, off_p_error, off_p_waiters, off_p_rn,
-        off_j_target, off_w_signal, off_gw_gate, off_a_resource,
+        off_j_target, off_gw_gate, off_a_resource,
         off_qg_queue, off_s_waiters, off_s_fired, off_s_value,
         off_g_waiters, off_g_open, off_g_value, off_r_busy, off_r_queue,
         off_r_grants, off_r_acquired, off_r_sim, off_fq_items,
@@ -4351,7 +4345,6 @@ PyInit__accel_core(void)
     if (primitives == NULL)
         return NULL;
     g_TimeoutType = get_type(primitives, "Timeout");
-    g_WaitType = get_type(primitives, "Wait");
     g_GateWaitType = get_type(primitives, "GateWait");
     g_AcquireType = get_type(primitives, "Acquire");
     g_QueueGetType = get_type(primitives, "QueueGet");
@@ -4360,9 +4353,9 @@ PyInit__accel_core(void)
     g_ResourceType = get_type(primitives, "Resource");
     g_FifoQueueType = get_type(primitives, "FifoQueue");
     Py_DECREF(primitives);
-    if (g_TimeoutType == NULL || g_WaitType == NULL ||
-            g_GateWaitType == NULL || g_AcquireType == NULL ||
-            g_QueueGetType == NULL || g_SignalType == NULL ||
+    if (g_TimeoutType == NULL || g_GateWaitType == NULL ||
+            g_AcquireType == NULL || g_QueueGetType == NULL ||
+            g_SignalType == NULL ||
             g_GateType == NULL || g_ResourceType == NULL ||
             g_FifoQueueType == NULL)
         return NULL;

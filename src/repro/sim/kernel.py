@@ -47,6 +47,7 @@ from operator import itemgetter
 from types import GeneratorType
 from typing import Any, Callable, Generator, Optional
 
+from repro.sim.primitives import Acquire, Timeout
 from repro.sim.process import Process
 
 
@@ -176,6 +177,10 @@ class Simulator:
         The loop is the flattened resume trampoline: yielded generators
         are pushed onto the process's call stack and driven directly, so
         deep coroutine chains resume in O(1) instead of O(depth).
+
+        Exact ``Timeout`` and ``Acquire`` commands are armed inline,
+        with the bodies of their ``_arm`` methods; any other type,
+        subclasses included, goes through ``cmd._arm``.
         """
         if proc.done:
             return
@@ -206,20 +211,42 @@ class Simulator:
                 proc._fail(err)
                 self.active_processes.discard(proc)
                 raise
-            if type(cmd) is GeneratorType:
+            ct = type(cmd)
+            if ct is GeneratorType:
                 # sub-call: push the caller, drive the inner generator
                 stack.append(gen)
                 proc.gen = gen = cmd
                 value = None
                 continue
-            try:
-                cmd._arm(self, proc)
-            except AttributeError:
-                raise SimulationError(
-                    f"process {proc.name!r} yielded non-primitive {cmd!r}; "
-                    "yield Timeout/Wait/Acquire/... or use 'yield from' for "
-                    "sub-coroutines"
-                ) from None
+            # Timeout and Acquire are ~87% of all arms: their ``_arm``
+            # bodies run here without the method call
+            if ct is Timeout:
+                d = cmd.delay
+                if d == 0:
+                    self._ring.append(proc._rn)
+                elif d > 0:
+                    self._push_future(self.now + d, proc._rn)
+                else:
+                    raise SimulationError(f"negative delay {d!r}")
+            elif ct is Acquire:
+                res = cmd.resource
+                res._sim = self
+                if not res._busy:
+                    res._busy = True
+                    res.grants += 1
+                    res._acquired_at = self.now
+                    self._ring.append(proc._rn)
+                else:
+                    res._queue.append(proc)
+            else:
+                try:
+                    cmd._arm(self, proc)
+                except AttributeError:
+                    raise SimulationError(
+                        f"process {proc.name!r} yielded non-primitive "
+                        f"{cmd!r}; yield Timeout/Signal/Acquire/... or use "
+                        "'yield from' for sub-coroutines"
+                    ) from None
             return
 
     # ------------------------------------------------------------------

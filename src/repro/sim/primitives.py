@@ -9,11 +9,17 @@ wake-up storms these primitives implement.  The value the process's
 ``yield`` expression evaluates to is primitive-specific (documented per
 class).
 
+Both trampolines arm some exact types inline with copies of the
+``_arm`` bodies below: ``Simulator._resume`` does ``Timeout`` and
+``Acquire``, the compiled one every primitive here plus ``JoinCmd``.  A
+change to one of those bodies must be made there too.  Subclasses
+always go through their own ``_arm``.
+
 ===========  =========================================================
 primitive    resumes when / with
 ===========  =========================================================
 Timeout(d)   after ``d`` cycles, with ``None``
-Wait(sig)    when the signal fires, with the fired value
+sig.wait()   when the signal fires, with the fired value
 Gate.wait()  when the gate is (or already was) opened, with gate value
 Acquire(r)   when the FIFO resource grants the caller, with ``None``
 queue.get()  when an item is available, with the item
@@ -96,27 +102,22 @@ class Signal:
         self.fire(sim, value)
         return True
 
-    def wait(self) -> "Wait":
-        """Yieldable: suspend until the signal fires."""
-        return Wait(self)
+    def wait(self) -> "Signal":
+        """Yieldable: suspend until the signal fires.
+
+        The signal is its own wait primitive, so a request/reply
+        allocates nothing to wait on.
+        """
+        return self
+
+    def _arm(self, sim: "Simulator", proc: "Process") -> None:
+        if self.fired:
+            sim._ring.append((sim._resume, (proc, self.value)))
+        else:
+            self._waiters.append(proc)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Signal {self.name} fired={self.fired}>"
-
-
-class Wait:
-    """Primitive form of :meth:`Signal.wait` (``yield Wait(sig)``)."""
-
-    __slots__ = ("signal",)
-
-    def __init__(self, signal: Signal) -> None:
-        self.signal = signal
-
-    def _arm(self, sim: "Simulator", proc: "Process") -> None:
-        if self.signal.fired:
-            sim._ring.append((sim._resume, (proc, self.signal.value)))
-        else:
-            self.signal._waiters.append(proc)
 
 
 class Gate:

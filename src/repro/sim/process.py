@@ -20,7 +20,6 @@ from typing import Any, Generator, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
-    from repro.sim.primitives import Wait
 
 
 class Process:

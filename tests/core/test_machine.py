@@ -170,3 +170,20 @@ def test_describe_summarizes_configuration(machine8):
     assert "8 CPUs on 4 nodes" in text
     assert "radix-8" in text
     assert "8-word cache" in text
+
+
+@pytest.mark.parametrize("backend", ["reference", "accel"])
+@pytest.mark.parametrize("kind", ["INVALIDATE", "INTERVENTION",
+                                  "WORD_UPDATE"])
+def test_cache_directed_delivery_without_controller_raises(backend, kind):
+    """A cache-directed message with no ``dst_cpu``, or for a CPU on
+    another node, raises on delivery and names the problem."""
+    from repro.network.message import Message, MessageKind
+    for dst_cpu, error in ((None, "has no dst_cpu"),
+                           (3, "cpu3 is not on node 0")):
+        machine = Machine(SystemConfig.table1(8, kernel_backend=backend))
+        var = machine.alloc("x", home_node=0)
+        machine.net.send(Message(MessageKind[kind], 1, 0, var.addr,
+                                 value=1, dst_cpu=dst_cpu))
+        with pytest.raises(RuntimeError, match=error):
+            machine.sim.run()

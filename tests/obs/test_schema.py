@@ -83,3 +83,18 @@ def test_cli_validator_rejects_bad_export(tmp_path):
         [sys.executable, "-m", "repro.obs.schema", str(path)],
         capture_output=True, text=True)
     assert proc.returncode != 0
+
+
+def test_cli_validator_runs_its_module_once(tmp_path):
+    """Importing ``repro.obs`` must not import ``repro.obs.schema``:
+    ``python -m`` would then find it in ``sys.modules``, warn, and run
+    the module body a second time."""
+    doc = build_export([("p", good_snapshot())])
+    path = tmp_path / "export.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.obs.schema", str(path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "valid" in proc.stdout

@@ -37,7 +37,6 @@ from repro.sim.primitives import (
     Resource,
     Signal,
     Timeout,
-    Wait,
 )
 
 BACKENDS = available_backends()
@@ -636,9 +635,9 @@ def _primitive_gauntlet(sim):
             return got
 
         coll = sim.spawn(collector())
-        a = yield Wait(pre_sig)          # already fired
+        a = yield pre_sig                # already fired
         b = yield GateWait(pre_gate)     # already open
-        v = yield Wait(sig)              # blocks
+        v = yield sig                    # blocks
         gv = yield GateWait(gate)        # opened while running
         joined = []
         for p in procs:
@@ -661,6 +660,194 @@ def test_primitives_match_reference(backend):
     got = _primitive_gauntlet(make_sim(backend))
     want = _primitive_gauntlet(Simulator())
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the typed trampoline: exact hot primitives armed inline
+# ---------------------------------------------------------------------------
+# Both trampolines arm some exact primitive types without calling their
+# ``_arm`` (the reference kernel Timeout and Acquire; the compiled one
+# also Signal and GateWait); any subclass takes the generic ``cmd._arm``
+# path.  Each case below runs once with the exact types
+# and once with a trivial subclass of each, and the two runs must agree
+# on dispatch order, ``now``, ``events_dispatched`` and any error.
+
+class _GenericTimeout(Timeout):
+    __slots__ = ()
+
+
+class _GenericAcquire(Acquire):
+    __slots__ = ()
+
+
+class _GenericSignal(Signal):
+    __slots__ = ()
+
+
+class _GenericGateWait(GateWait):
+    __slots__ = ()
+
+
+_EXACT = {"timeout": Timeout, "acquire": Acquire, "signal": Signal,
+          "gate_wait": GateWait}
+_GENERIC = {"timeout": _GenericTimeout, "acquire": _GenericAcquire,
+            "signal": _GenericSignal, "gate_wait": _GenericGateWait}
+
+
+def _ticker(sim, log, n):
+    """A control process logging each cycle, to pin the interleaving."""
+    for _ in range(n):
+        log.append(("tick", sim.now))
+        yield Timeout(1)
+
+
+def _case_timeout(delays_a, delays_b):
+    def case(sim, k, log):
+        def proc(name, delays):
+            for d in delays:
+                log.append((name, sim.now, d))
+                yield k["timeout"](d)
+            log.append((name, sim.now, "done"))
+
+        sim.spawn(proc("a", delays_a))
+        sim.spawn(proc("b", delays_b))
+        sim.spawn(_ticker(sim, log, 4))
+        sim.schedule(8, log.append, ("callback", 8))
+        return None
+    return case
+
+
+def _case_acquire(busy):
+    def case(sim, k, log):
+        res = Resource("r")
+
+        def proc(name, hold):
+            yield k["acquire"](res)
+            log.append((name, sim.now, res.grants, res.queue_length))
+            yield Timeout(hold)
+            res.release()
+
+        if busy:
+            for i, name in enumerate("abc"):
+                sim.spawn(proc(name, 4 - i))
+        else:
+            sim.spawn(proc("a", 2))
+            sim.schedule(5, lambda: sim.spawn(proc("b", 1)))
+        sim.spawn(_ticker(sim, log, 3))
+        return lambda: (res.grants, res.busy_cycles, res.busy)
+    return case
+
+
+def _case_signal(fired):
+    def case(sim, k, log):
+        sig = k["signal"]("s")
+        if fired:
+            sig.fire(sim, "early")
+        else:
+            sim.schedule(6, sig.fire, sim, "late")
+
+        def waiter(name):
+            value = yield sig
+            log.append((name, sim.now, value))
+
+        sim.spawn(waiter("a"))
+        sim.spawn(_ticker(sim, log, 2))
+        sim.spawn(waiter("b"))
+        return None
+    return case
+
+
+def _case_gate(is_open):
+    def case(sim, k, log):
+        gate = Gate("g")
+        if is_open:
+            gate.release(sim, "open")
+        else:
+            sim.schedule(4, gate.pulse, sim, "pulsed")
+            sim.schedule(9, gate.release, sim, "released")
+
+        def waiter(name, rounds):
+            for _ in range(rounds):
+                value = yield k["gate_wait"](gate)
+                log.append((name, sim.now, value))
+
+        sim.spawn(waiter("a", 2))
+        sim.spawn(_ticker(sim, log, 2))
+        sim.spawn(waiter("b", 1))
+        return None
+    return case
+
+
+_TRAMPOLINE_CASES = {
+    "timeout_zero": _case_timeout((0, 0, 0), (0, 1, 0)),
+    "timeout_positive": _case_timeout((5, 3, 7), (8, 7)),
+    "timeout_negative": _case_timeout((4, -2, 3), (1,)),
+    "acquire_free": _case_acquire(busy=False),
+    "acquire_busy": _case_acquire(busy=True),
+    "signal_fired": _case_signal(fired=True),
+    "signal_unfired": _case_signal(fired=False),
+    "gate_wait_open": _case_gate(is_open=True),
+    "gate_wait_closed": _case_gate(is_open=False),
+}
+
+
+def _run_trampoline_case(backend, name, kinds):
+    sim = make_sim(backend)
+    log = []
+    state = _TRAMPOLINE_CASES[name](sim, kinds, log)
+    try:
+        sim.run()
+        error = None
+    except SimulationError as err:
+        error = str(err)
+    return (log, sim.now, sim.events_dispatched, error,
+            state() if state is not None else None)
+
+
+@pytest.mark.parametrize("name", sorted(_TRAMPOLINE_CASES))
+def test_trampoline_inline_arm_matches_generic_arm(backend, name,
+                                                   monkeypatch):
+    armed = []
+    for cls in _EXACT.values():
+        def arm(self, sim, proc, _orig=cls._arm):
+            armed.append(type(self).__name__)
+            return _orig(self, sim, proc)
+        monkeypatch.setattr(cls, "_arm", arm)
+    want = _run_trampoline_case("reference", name, _GENERIC)
+    generic = _run_trampoline_case(backend, name, _GENERIC)
+    assert armed and all(n.startswith("_Generic") for n in armed)
+    del armed[:]
+    inline = _run_trampoline_case(backend, name, _EXACT)
+    # the exact types a trampoline inlines never reach ``_arm``
+    if type(make_sim(backend)) is Simulator:
+        assert set(armed) <= {"Signal", "GateWait"}
+    else:
+        assert armed == []
+    assert generic == want
+    assert inline == want
+    if name == "timeout_negative":
+        assert inline[3] == "negative delay -2"
+
+
+def test_trampoline_yield_signal_directly(backend):
+    """A Signal is its own wait primitive: ``sig.wait()`` returns the
+    signal, and ``yield sig`` resumes with the fired value, at once when
+    it has fired already."""
+    sim = make_sim(backend)
+    sig = Signal("s")
+    assert sig.wait() is sig
+
+    def firer():
+        yield Timeout(3)
+        sig.fire(sim, "x")
+
+    def waiter():
+        value = yield sig
+        return sim.now, value
+
+    sim.spawn(firer())
+    assert sim.run_process(waiter()) == (3, "x")
+    assert sim.run_process(waiter()) == (3, "x")
 
 
 def test_workload_results_identical_across_backends(backend):

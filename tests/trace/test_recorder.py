@@ -151,3 +151,29 @@ def test_tracing_does_not_change_timing():
         return machine.last_completion_time
 
     assert run(False) == run(True)
+
+
+def _load_once(machine):
+    var = machine.alloc(f"v{len(machine.address_space.symbols)}",
+                        home_node=1)
+
+    def thread(proc):
+        yield from proc.load(var.addr)
+
+    machine.run_threads(thread, cpus=[0])
+
+
+def test_pooled_machine_reused_untraced_records_nothing():
+    from repro.core.snapshot import MachinePool
+    pool = MachinePool()
+    cfg = SystemConfig.table1(4)
+    machine = pool.acquire(cfg)
+    tracer = TraceRecorder.attach(machine)
+    _load_once(machine)
+    spans, instants = len(tracer.spans), len(tracer.instants)
+    assert spans and instants
+    tracer.detach()
+    again = pool.acquire(cfg)
+    assert again is machine
+    _load_once(again)
+    assert (len(tracer.spans), len(tracer.instants)) == (spans, instants)
