@@ -146,7 +146,3 @@ class Directory:
     def known_entries(self) -> list[DirectoryEntry]:
         """Every entry ever touched (for invariant sweeps in tests)."""
         return list(self._entries.values())
-
-    def check_all(self) -> None:
-        for ent in self._entries.values():
-            ent.check()

@@ -230,7 +230,7 @@ class SystemConfig:
     #: ``None`` defers to $REPRO_KERNEL_BACKEND, then ``reference``.
     #: Every backend produces byte-identical results, so this never
     #: enters a result cache key — but it *is* part of this (frozen,
-    #: hashable) config, so warm-start pools keyed by config stay
+    #: hashable) config, so machine pools keyed by config stay
     #: separated per backend.
     kernel_backend: str | None = None
 

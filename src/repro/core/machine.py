@@ -365,7 +365,7 @@ class Machine:
                 gc.enable()
 
     # ------------------------------------------------------------------
-    # snapshot / warm-start
+    # snapshot / restore (the machine pool)
     # ------------------------------------------------------------------
     def snapshot(self):
         """Checkpoint all mutable simulation state at quiescence.

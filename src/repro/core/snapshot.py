@@ -1,17 +1,16 @@
 """Machine snapshot/restore: checkpoint a quiescent machine, replay later.
 
-A sweep spends most of its wall time re-doing identical work: every point
-builds a fresh :class:`~repro.core.machine.Machine` and re-simulates the
-warm-up episodes before measuring.  :class:`MachineSnapshot` checkpoints
-*all* mutable simulation state of a machine at quiescence — kernel clock
-and event counter, backing memory, caches and their LRU clocks, directory
-entries, AMU/MAO state, active-message dedup tables, per-CPU RNG streams
-(packed Mersenne Twister words; ``None`` for a CPU that never retried an
-LL/SC, whose RNG is not yet created), every resource's utilization
-counters — so the warmed machine can be rewound and re-run any number
-of times.  A restored run is **cycle-for-cycle identical** to a fresh
-build+warm+run of the same configuration; the determinism-parity suite
-pins this with golden fingerprints at 32 and 512 CPUs.
+Every sweep point would otherwise build a fresh
+:class:`~repro.core.machine.Machine`.  :class:`MachineSnapshot`
+checkpoints *all* mutable simulation state of a machine at quiescence —
+kernel clock and event counter, backing memory, caches and their LRU
+clocks, directory entries, AMU/MAO state, active-message dedup tables,
+per-CPU RNG streams (``None`` for a CPU that never retried an LL/SC,
+whose RNG is not yet created), every resource's utilization counters —
+so the machine can be rewound and re-run any number of times.  A
+restored run is **cycle-for-cycle identical** to a fresh build+run of
+the same configuration; the determinism-parity suite pins this with
+golden fingerprints at 32 and 512 CPUs.
 
 Why in-place restore instead of a copyable machine: model code is
 coroutines, and live generators cannot be copied.  At quiescence the only
@@ -29,16 +28,13 @@ later acquire for an equal config rewinds instead of reconstructing.
 
 from __future__ import annotations
 
-import struct
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.amu.cache import AmuCacheEntry
 from repro.cache.line import CacheLine
 from repro.coherence.client import backoff_rng
 
 if TYPE_CHECKING:  # pragma: no cover
-    import random
-
     from repro.config.parameters import SystemConfig
     from repro.core.machine import Machine
     from repro.sim.primitives import FifoQueue, Resource
@@ -92,20 +88,6 @@ def _restore_cache(cache, state: tuple) -> None:
     sets.clear()
     for idx, addr, st, words, dirty, last_use in lines:
         sets[idx][addr] = CacheLine(addr, st, dict(words), dirty, last_use)
-
-
-#: a backoff RNG's Mersenne Twister state (624 words and the position),
-#: packed into 2.5 KB of bytes instead of a tuple of 625 boxed ints
-_MT_WORDS = struct.Struct("625I")
-
-
-def _rng_state(rng: Optional[random.Random], where: str) -> Optional[bytes]:
-    if rng is None:
-        return None
-    _, words, gauss_next = rng.getstate()
-    if gauss_next is not None:
-        raise SnapshotError(f"{where}: backoff RNG holds a cached gaussian")
-    return _MT_WORDS.pack(*words)
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +193,8 @@ class MachineSnapshot:
             ctrl._reservation, meta,
             ctrl.sc_failures, ctrl.sc_successes, ctrl.spin_wakeups,
             ctrl.wb_race_interventions,
-            _rng_state(ctrl._backoff_rng, where))
+            None if ctrl._backoff_rng is None
+            else ctrl._backoff_rng.getstate())
 
     # ------------------------------------------------------------------
     def restore(self) -> None:
@@ -328,7 +311,7 @@ class MachineSnapshot:
             rng = ctrl._backoff_rng
             if rng is None:
                 rng = ctrl._backoff_rng = backoff_rng(proc.cpu_id)
-            rng.setstate((rng.VERSION, _MT_WORDS.unpack(rng_state), None))
+            rng.setstate(rng_state)
 
 
 # ----------------------------------------------------------------------
@@ -373,17 +356,3 @@ class MachinePool:
         machine, pristine = entry
         machine.restore(pristine)
         return machine
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-#: process-wide pool used by workload drivers when warm-start is requested
-GLOBAL_POOL: Optional[MachinePool] = None
-
-
-def global_pool() -> MachinePool:
-    global GLOBAL_POOL
-    if GLOBAL_POOL is None:
-        GLOBAL_POOL = MachinePool()
-    return GLOBAL_POOL

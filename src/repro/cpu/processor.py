@@ -49,9 +49,6 @@ class Processor:
         self._t_overhead = Timeout(self.config.processor.op_overhead_cycles)
 
     # ------------------------------------------------------------------
-    def _overhead(self):
-        yield self._t_overhead
-
     def delay(self, cycles: int):
         """Coroutine: local computation for ``cycles`` (no memory traffic)."""
         yield Timeout(cycles)

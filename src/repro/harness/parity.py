@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config.mechanism import Mechanism
+from repro.core.snapshot import MachinePool
 from repro.network.stats import TrafficStats
 from repro.workloads.barrier import run_barrier_workload
 from repro.workloads.locks import run_lock_workload
@@ -46,14 +47,16 @@ def _traffic_dict(traffic: TrafficStats) -> dict:
 
 def barrier_fingerprint(mechanism: Mechanism, n_processors: int,
                         episodes: int = BARRIER_EPISODES,
-                        warm_cache=None, metrics: bool = False,
+                        pool: Optional[MachinePool] = None,
+                        metrics: bool = False,
                         backend: Optional[str] = None) -> dict:
     """Run one barrier configuration and reduce it to its fingerprint.
 
-    Passing a :class:`repro.workloads.warm.WarmCache` routes the run
-    through the snapshot/warm-start path; the fingerprint must come out
-    identical either way — that equivalence *is* the parity claim the
-    snapshot layer makes, and the golden suite pins it.  ``metrics``
+    Passing a :class:`repro.core.snapshot.MachinePool` runs the point on
+    a pooled machine rewound from its pristine checkpoint; the
+    fingerprint must come out identical either way — that equivalence
+    *is* the parity claim the snapshot layer makes, and the golden suite
+    pins it.  ``metrics``
     runs with the observability layer attached — it is timing-neutral
     by contract, so the fingerprint must still match the golden (this is
     how ``capture_parity.py --verify --metrics`` pins that contract).
@@ -63,7 +66,7 @@ def barrier_fingerprint(mechanism: Mechanism, n_processors: int,
     ``capture_parity.py --verify --backend accel`` enforces.
     """
     res = run_barrier_workload(n_processors, mechanism, episodes=episodes,
-                               warmup_episodes=1, warm_cache=warm_cache,
+                               warmup_episodes=1, pool=pool,
                                metrics=metrics, backend=backend)
     return {
         "workload": "barrier",
@@ -77,12 +80,13 @@ def barrier_fingerprint(mechanism: Mechanism, n_processors: int,
 
 def lock_fingerprint(mechanism: Mechanism, n_processors: int,
                      acquisitions: int = LOCK_ACQUISITIONS,
-                     warm_cache=None, metrics: bool = False,
+                     pool: Optional[MachinePool] = None,
+                     metrics: bool = False,
                      backend: Optional[str] = None) -> dict:
     """Run one ticket-lock configuration and reduce it to a fingerprint."""
     res = run_lock_workload(n_processors, mechanism,
                             acquisitions_per_cpu=acquisitions,
-                            warmup_per_cpu=1, warm_cache=warm_cache,
+                            warmup_per_cpu=1, pool=pool,
                             metrics=metrics, backend=backend)
     return {
         "workload": "lock",
@@ -97,7 +101,8 @@ def lock_fingerprint(mechanism: Mechanism, n_processors: int,
 def qlock_fingerprint(mechanism: Mechanism, n_processors: int,
                       lock_type: str,
                       acquisitions: int = QLOCK_ACQUISITIONS,
-                      warm_cache=None, metrics: bool = False,
+                      pool: Optional[MachinePool] = None,
+                      metrics: bool = False,
                       backend: Optional[str] = None) -> dict:
     """Run one queue-lock configuration and reduce it to a fingerprint.
 
@@ -109,7 +114,7 @@ def qlock_fingerprint(mechanism: Mechanism, n_processors: int,
     """
     res = run_qlock_workload(n_processors, mechanism, lock_type=lock_type,
                              acquisitions_per_cpu=acquisitions,
-                             warmup_per_cpu=1, warm_cache=warm_cache,
+                             warmup_per_cpu=1, pool=pool,
                              metrics=metrics, backend=backend)
     return {
         "workload": f"qlock_{lock_type}",
@@ -123,14 +128,16 @@ def qlock_fingerprint(mechanism: Mechanism, n_processors: int,
 
 def capture_all(n_processors: int = 32,
                 mechanisms: Optional[list[Mechanism]] = None,
-                warm_cache=None, barrier_only: bool = False,
+                pool: Optional[MachinePool] = None,
+                barrier_only: bool = False,
                 metrics: bool = False,
                 backend: Optional[str] = None) -> dict:
     """Fingerprint every mechanism (barrier + locks) at one machine size.
 
-    With a ``warm_cache`` every run goes through snapshot warm-start;
-    the document must be byte-identical to a cold capture (verified by
-    ``tools/capture_parity.py --verify --warm``).  ``barrier_only``
+    With a ``pool`` every run takes its machine from that one
+    :class:`~repro.core.snapshot.MachinePool`; the document must be
+    byte-identical to a fresh capture (verified by
+    ``tools/capture_parity.py --verify --pooled``).  ``barrier_only``
     skips the lock fingerprints — on very large machines lock runs
     serialize P acquisitions and dominate capture time.  ``metrics``
     attaches the observability layer to every run (timing-neutral by
@@ -148,18 +155,18 @@ def capture_all(n_processors: int = 32,
     fingerprints = {}
     for m in mechs:
         fp = {"barrier": barrier_fingerprint(m, n_processors,
-                                             warm_cache=warm_cache,
+                                             pool=pool,
                                              metrics=metrics,
                                              backend=backend)}
         if not barrier_only:
             fp["lock"] = lock_fingerprint(m, n_processors,
-                                          warm_cache=warm_cache,
+                                          pool=pool,
                                           metrics=metrics,
                                           backend=backend)
             for lt in QLOCK_TYPES:
                 if qlock_supported(lt, m):
                     fp[f"qlock_{lt}"] = qlock_fingerprint(
-                        m, n_processors, lt, warm_cache=warm_cache,
+                        m, n_processors, lt, pool=pool,
                         metrics=metrics, backend=backend)
         fingerprints[m.value] = fp
     doc = {

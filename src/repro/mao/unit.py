@@ -1,10 +1,9 @@
 """Processor-side MAO port.
 
 Thin façade that encodes MAO requests for the home AMU (shared function
-unit, ``coherent=False``) and exposes the uncached polling loop that MAO
-software must use when it *does* spin on the MAO variable itself (the
-unoptimized variant the paper mentions before recommending the separate
-spin variable).
+unit, ``coherent=False``).  MAO software spins on a separate coherent
+variable, as the paper recommends; an uncached read of the MAO variable
+itself is :meth:`repro.cpu.processor.Processor.uncached_read`.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import TYPE_CHECKING
 from repro.amu.ops import AmoCommand
 from repro.mem.address import home_of
 from repro.network.message import Message, MessageKind
-from repro.sim.primitives import Signal, Timeout
+from repro.sim.primitives import Signal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.machine import Hub
@@ -43,18 +42,3 @@ class MaoPort:
             reply_to=sig, requester=self.cpu_id))
         reply = yield sig.wait()
         return reply.value
-
-    def poll_until(self, controller, addr: int, predicate,
-                   backoff_cycles: int = 200):
-        """Coroutine: unoptimized MAO spin — uncached read per poll.
-
-        Every poll is a remote round trip ("each load request must bypass
-        the cache and load data directly from the home node", §2); a
-        fixed backoff separates polls.  The home-side read consults the
-        AMU cache first, since the MAO value lives there.
-        """
-        while True:
-            value = yield from controller.uncached_read(addr)
-            if predicate(value):
-                return value
-            yield Timeout(backoff_cycles)

@@ -9,8 +9,6 @@ assume.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.mem.address import WORD_BYTES, home_of, word_base
 
 
@@ -49,12 +47,12 @@ class BackingStore:
         for addr, value in words.items():
             self._words[word_base(addr)] = value
 
-    def nonzero_words(self) -> Iterator[tuple[int, int]]:
-        """All words ever written, for end-of-run verification."""
-        return iter(sorted(self._words.items()))
-
     def home_audit(self) -> dict[int, int]:
-        """Count of written words per home node (placement diagnostics)."""
+        """Count of written words per home node.
+
+        A test oracle: the simulator never calls it; tests use it to
+        check where a sync algorithm placed its variables.
+        """
         counts: dict[int, int] = {}
         for addr in self._words:
             node = home_of(addr)

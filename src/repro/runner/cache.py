@@ -133,6 +133,8 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def entry_count(self) -> int:
+        """Entries on disk.  A test oracle: the runner never calls it;
+        tests use it to check what :meth:`store` and :meth:`clear` did."""
         if not self.root.exists():
             return 0
         return sum(1 for _ in self.root.glob("*/*.pkl"))

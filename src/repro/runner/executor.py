@@ -158,9 +158,6 @@ class ParallelRunner:
             raise RunnerError(failures)
         return [o.result for o in outcomes]
 
-    def run_one(self, spec: RunSpec) -> Any:
-        return self.run([spec])[0]
-
     def run_outcomes(self, specs: Sequence[RunSpec]) -> list[Outcome]:
         """Like :meth:`run` but returns per-point outcomes, never raises."""
         t_start = time.perf_counter()

@@ -2,9 +2,10 @@
 
 A cached simulator result is only valid for the code that produced it.
 Rather than trusting git state (the working tree may be dirty) we hash
-the *contents* of every ``repro`` source file; any edit to the simulator,
-workloads, or runner invalidates every cached entry, while edits to
-docs, tests, or benchmarks leave the cache warm.
+the *contents* of every ``repro`` source file, Python and C alike; any
+edit to the simulator, its compiled core, workloads, or runner
+invalidates every cached entry, while edits to docs, tests, or
+benchmarks leave the cache warm.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ def package_root() -> Path:
 
 
 def code_fingerprint(refresh: bool = False) -> str:
-    """Hex digest over every ``repro/**/*.py`` file's path and content.
+    """Hex digest over every ``repro/**/*.py`` and ``repro/**/*.c``
+    file's path and content.
 
     The environment variable ``REPRO_CODE_FINGERPRINT`` overrides the
     computed value (used by tests and by CI jobs that want deliberate
@@ -37,7 +39,8 @@ def code_fingerprint(refresh: bool = False) -> str:
         return _cached
     root = package_root()
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    for path in sorted(p for p in root.rglob("*")
+                       if p.suffix in (".py", ".c")):
         digest.update(path.relative_to(root).as_posix().encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())

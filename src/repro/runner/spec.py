@@ -17,7 +17,6 @@ runnable in every worker.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
@@ -26,41 +25,39 @@ from repro.config.mechanism import Mechanism
 
 #: kind name -> driver callable taking the spec's kwargs
 _KIND_REGISTRY: dict[str, Callable[..., Any]] = {}
-#: kinds whose driver accepts ``warm_cache`` (snapshot warm-start)
-_WARMABLE_KINDS: set[str] = set()
+#: kinds whose driver accepts ``pool`` (a machine pool)
+_POOLED_KINDS: set[str] = set()
 
 
 def register_kind(name: str, fn: Callable[..., Any],
                   warmable: bool = False) -> None:
     """Register (or replace) the driver function for a run kind.
 
-    ``warmable`` marks drivers accepting a ``warm_cache`` keyword:
-    :func:`execute_spec` then routes them through the process-local
-    snapshot warm-start pool, so a sweep revisiting a machine shape
-    restores from a checkpoint instead of rebuilding and re-warming.
-    The warm path is fingerprint-identical to a cold run (pinned by the
+    ``warmable`` marks drivers that accept a ``pool`` keyword and run
+    their warm-up on the machine it supplies: :func:`execute_spec` then
+    hands them the process-wide
+    :class:`~repro.core.snapshot.MachinePool`, so a sweep revisiting a
+    machine shape rewinds a pooled machine instead of rebuilding it.
+    A pooled run is fingerprint-identical to a fresh one (pinned by the
     determinism-parity suite), so cached results are unaffected.
     """
     _KIND_REGISTRY[name] = fn
     if warmable:
-        _WARMABLE_KINDS.add(name)
+        _POOLED_KINDS.add(name)
     else:
-        _WARMABLE_KINDS.discard(name)
+        _POOLED_KINDS.discard(name)
 
 
-#: lazily-built per-process warm cache (one per executor worker); set
-#: REPRO_WARM_START=0 to force every run to build its machine fresh
-_WARM_CACHE: Any = None
+#: lazily-built machine pool, one per process (each executor worker)
+_POOL: Any = None
 
 
-def _process_warm_cache():
-    global _WARM_CACHE
-    if os.environ.get("REPRO_WARM_START", "1") == "0":
-        return None
-    if _WARM_CACHE is None:
-        from repro.workloads.warm import WarmCache
-        _WARM_CACHE = WarmCache()
-    return _WARM_CACHE
+def _process_pool():
+    global _POOL
+    if _POOL is None:
+        from repro.core.snapshot import MachinePool
+        _POOL = MachinePool()
+    return _POOL
 
 
 def registered_kinds() -> tuple[str, ...]:
@@ -257,10 +254,8 @@ def execute_spec(spec: RunSpec) -> RunRecord:
         # cache key
         kwargs["backend"] = spec.backend
     t0 = time.perf_counter()
-    if spec.kind in _WARMABLE_KINDS:
-        warm = _process_warm_cache()
-        if warm is not None:
-            kwargs["warm_cache"] = warm
+    if spec.kind in _POOLED_KINDS:
+        kwargs["pool"] = _process_pool()
     result = fn(**kwargs)
     wall = time.perf_counter() - t0
     if isinstance(result, dict):

@@ -42,7 +42,7 @@ When armed, :func:`model_classes` returns thin subclasses:
 
 Every fast path preserves the reference event stream bit-for-bit: same
 events, same counts, same order (golden parity enforces this across
-fresh/warm/metered/qlock fingerprints).  The win is constant
+fresh/pooled/metered/qlock fingerprints).  The win is constant
 factor only — each event gets cheaper, no event disappears.
 """
 

@@ -107,16 +107,6 @@ class CentralizedBarrier:
                                        lambda v: v >= episode + 1)
 
     # ------------------------------------------------------------------
-    # warm-start support: the episode map is workload-level Python state
-    # that lives outside the machine, so snapshot/restore replays must
-    # save and rewind it alongside the machine checkpoint.
-    def save_state(self) -> dict:
-        return {"episode": dict(self._episode)}
-
-    def load_state(self, state: dict) -> None:
-        self._episode = dict(state["episode"])
-
-    # ------------------------------------------------------------------
     def episodes_completed(self, cpu_id: int) -> int:
         """How many times ``cpu_id`` has entered the barrier."""
         return self._episode.get(cpu_id, 0)

@@ -137,21 +137,6 @@ class McsLock:
             delta=-1)
         self._held_by.discard(me)
 
-    # warm-start support: holder set, acquisition count and handle
-    # counters live outside the machine, so snapshot replays must rewind
-    # them too (see repro.workloads.warm).
-    def save_state(self) -> dict:
-        return {"held_by": set(self._held_by),
-                "acquisitions": self.acquisitions,
-                "attempt": list(self._attempt),
-                "cur_handle": list(self._cur_handle)}
-
-    def load_state(self, state: dict) -> None:
-        self._held_by = set(state["held_by"])
-        self.acquisitions = state["acquisitions"]
-        self._attempt = list(state["attempt"])
-        self._cur_handle = list(state["cur_handle"])
-
     def holder(self) -> int | None:
         holders = sorted(self._held_by)
         if len(holders) > 1:

@@ -133,17 +133,6 @@ class RwTicketLock:
         # concurrent with other readers' releases => must be atomic
         yield from fetch_add(proc, self.mechanism, self.write.addr, 1)
 
-    # warm-start support
-    def save_state(self) -> dict:
-        return {"writers": dict(self._writers),
-                "readers": dict(self._readers),
-                "acquisitions": self.acquisitions}
-
-    def load_state(self, state: dict) -> None:
-        self._writers = dict(state["writers"])
-        self._readers = dict(state["readers"])
-        self.acquisitions = state["acquisitions"]
-
     def holder(self):
         """Diagnostics: ('w', cpu) | ('r', cpus) | None."""
         if self._writers:

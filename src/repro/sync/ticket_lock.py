@@ -76,16 +76,6 @@ class TicketLock:
         yield from coherent_release_store(
             proc, self.mechanism, self.now_serving.addr, my + 1, delta=1)
 
-    # warm-start support: holder map and acquisition count live outside
-    # the machine, so snapshot replays must rewind them too.
-    def save_state(self) -> dict:
-        return {"held_by": dict(self._held_by),
-                "acquisitions": self.acquisitions}
-
-    def load_state(self, state: dict) -> None:
-        self._held_by = dict(state["held_by"])
-        self.acquisitions = state["acquisitions"]
-
     def holder(self) -> int | None:
         """CPU currently holding the lock, or None (diagnostics)."""
         holders = list(self._held_by)

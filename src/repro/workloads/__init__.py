@@ -10,8 +10,8 @@
 
 Each driver runs its point through :func:`repro.workloads.warm.measure`:
 an unmeasured warm-up pass (cold-miss epoch, as an execution-driven
-simulator's measured region would exclude) on a fresh, pooled or
-warm-restored :class:`~repro.core.machine.Machine`, then the measured
+simulator's measured region would exclude) on a fresh or pooled
+:class:`~repro.core.machine.Machine`, then the measured
 steady-state cycles and traffic.  A driver supplies only its sync
 object and its per-CPU thread.
 """

@@ -13,6 +13,7 @@ from typing import Optional
 
 from repro.config.mechanism import Mechanism
 from repro.config.parameters import SystemConfig
+from repro.core.snapshot import MachinePool
 from repro.network.stats import TrafficStats
 from repro.sync.barrier import CentralizedBarrier
 from repro.sync.tree_barrier import CombiningTreeBarrier
@@ -74,7 +75,7 @@ def run_barrier_workload(n_processors: int, mechanism: Mechanism,
                          home_node: int = 0,
                          metrics: bool = False,
                          metrics_interval: int = 0,
-                         warm_cache=None,
+                         pool: Optional[MachinePool] = None,
                          backend: Optional[str] = None) -> BarrierResult:
     """Measure one (mechanism, P[, branching]) barrier configuration.
 
@@ -84,14 +85,10 @@ def run_barrier_workload(n_processors: int, mechanism: Mechanism,
     (:mod:`repro.obs`) and a tracer, returning a metrics snapshot with a
     per-episode critical-path breakdown on the result;
     ``metrics_interval`` > 0 also samples gauges on that cycle period.
-    ``warm_cache`` (a :class:`repro.workloads.warm.WarmCache`) amortizes
-    machine construction and warm-up across calls: the first call for a
-    shape builds, warms and checkpoints; later calls restore and replay
-    the measured episodes only, with identical cycles and event counts.
-    Metered runs skip the warm contexts, so their warm-up is simulated
-    and observed, but still take their machine from the cache's pool;
-    the observers are detached when the run ends
-    (:func:`repro.workloads.warm.measure`).
+    ``pool`` (a :class:`repro.core.snapshot.MachinePool`) rewinds a
+    pooled machine to its pristine checkpoint instead of building one;
+    the warm-up is simulated either way, with identical cycles and
+    event counts (:func:`repro.workloads.warm.measure`).
     ``backend`` selects the event-kernel backend
     (:mod:`repro.sim.backends`); results are byte-identical across
     backends, so it never changes what is measured — only how fast.
@@ -106,9 +103,7 @@ def run_barrier_workload(n_processors: int, mechanism: Mechanism,
         return CentralizedBarrier(machine, mechanism, naive=naive,
                                   home_node=home_node)
 
-    run = measure(cfg, ("barrier", cfg, mechanism, tree_branching, naive,
-                        home_node, warmup_episodes),
-                  warm_cache, metrics, metrics_interval, build,
+    run = measure(cfg, pool, metrics, metrics_interval, build,
                   _make_thread, warmup_episodes, episodes)
     return BarrierResult(
         mechanism=mechanism, n_processors=n_processors, episodes=episodes,

@@ -14,6 +14,7 @@ from typing import Optional
 
 from repro.config.mechanism import Mechanism
 from repro.config.parameters import SystemConfig
+from repro.core.snapshot import MachinePool
 from repro.network.stats import TrafficStats
 from repro.sync.array_lock import ArrayQueueLock
 from repro.sync.mcs_lock import McsLock
@@ -75,17 +76,15 @@ def run_lock_workload(n_processors: int, mechanism: Mechanism,
                       home_node: int = 0,
                       metrics: bool = False,
                       metrics_interval: int = 0,
-                      warm_cache=None,
+                      pool: Optional[MachinePool] = None,
                       backend: Optional[str] = None) -> LockResult:
     """Measure one (mechanism, P, lock algorithm) configuration.
 
     ``metrics`` attaches the observability layer (:mod:`repro.obs`); the
     returned result then carries a metrics snapshot whose critical-path
     section attributes each acquire→release episode's latency.
-    ``warm_cache`` (a :class:`repro.workloads.warm.WarmCache`) amortizes
-    machine construction and warm-up across calls; see the barrier
-    driver.  Lock types without ``save_state`` support still share
-    pooled machines but re-run their warm-up each call.
+    ``pool`` (a :class:`repro.core.snapshot.MachinePool`) supplies the
+    machine; see the barrier driver.
     ``backend`` selects the event-kernel backend
     (:mod:`repro.sim.backends`); byte-identical results, faster loop.
     """
@@ -113,9 +112,7 @@ def run_lock_workload(n_processors: int, mechanism: Mechanism,
                 yield from proc.delay(think_cycles)
         return thread
 
-    run = measure(cfg, ("lock", cfg, mechanism, lock_type, home_node,
-                        warmup_per_cpu, cs_cycles, think_cycles),
-                  warm_cache, metrics, metrics_interval,
+    run = measure(cfg, pool, metrics, metrics_interval,
                   lambda machine: lock_cls(machine, mechanism,
                                            home_node=home_node),
                   make_thread, warmup_per_cpu, acquisitions_per_cpu)

@@ -36,6 +36,7 @@ from repro.check.linearize import (
 )
 from repro.config.mechanism import Mechanism
 from repro.config.parameters import SystemConfig
+from repro.core.snapshot import MachinePool
 from repro.sync.cna_lock import DEFAULT_BATCH_THRESHOLD, CnaLock
 from repro.sync.mcs_lock import McsLock
 from repro.sync.rw_lock import RwTicketLock, UnsupportedMechanismError
@@ -94,16 +95,14 @@ def run_qlock_workload(n_processors: int, mechanism: Mechanism,
                        home_node: int = 0,
                        metrics: bool = False,
                        metrics_interval: int = 0,
-                       warm_cache=None,
+                       pool: Optional[MachinePool] = None,
                        backend: Optional[str] = None) -> LockResult:
     """Measure one (mechanism, P, queue-lock algorithm) configuration.
 
     Mirrors :func:`repro.workloads.locks.run_lock_workload` — same
-    result type, warm-start, metrics, and backend semantics — plus the
+    result type, pool, metrics, and backend semantics — plus the
     offline grant-history verification described in the module
-    docstring.  ``batch_threshold`` applies to the CNA lock only (it
-    still enters the warm key for every type; it does not change the
-    MCS/rw machines, merely fragments their warm pool by one value).
+    docstring.  ``batch_threshold`` applies to the CNA lock only.
     """
     if lock_type not in QLOCK_TYPES:
         raise ValueError(
@@ -188,10 +187,7 @@ def run_qlock_workload(n_processors: int, mechanism: Mechanism,
                 yield from proc.delay(think_cycles)
         return thread
 
-    run = measure(cfg, ("qlock", cfg, mechanism, lock_type, home_node,
-                        warmup_per_cpu, cs_cycles, think_cycles,
-                        batch_threshold),
-                  warm_cache, metrics, metrics_interval, build,
+    run = measure(cfg, pool, metrics, metrics_interval, build,
                   make_rw_thread if lock_type == "rw" else make_queue_thread,
                   warmup_per_cpu, acquisitions_per_cpu,
                   verify=lambda: _check_history(lock_type, spans,

@@ -60,18 +60,6 @@ def test_unowned_with_copies_rejected():
         ent.check()
 
 
-def test_check_all_sweeps_entries():
-    d = Directory(node=0)
-    good = d.entry(0x100)
-    good.state = DirState.SHARED
-    good.add_sharer(0)
-    bad = d.entry(0x200)
-    bad.state = DirState.EXCLUSIVE            # no owner: invalid
-    with pytest.raises(AssertionError):
-        d.check_all()
-    assert len(d.known_entries()) == 2
-
-
 # ---------------------------------------------------------------------------
 # bitmask sharer encoding
 # ---------------------------------------------------------------------------

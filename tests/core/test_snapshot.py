@@ -1,4 +1,4 @@
-"""Snapshot/warm-start tests: restored machines replay exactly.
+"""Snapshot and machine-pool tests: restored machines replay exactly.
 
 The contract under test (see :mod:`repro.core.snapshot`): a machine
 restored from a checkpoint re-runs the same workload cycle-for-cycle,
@@ -8,8 +8,6 @@ clean as a fresh one.
 """
 
 from __future__ import annotations
-
-import tracemalloc
 
 import pytest
 
@@ -23,7 +21,6 @@ from repro.sync.ticket_lock import TicketLock
 from repro.trace.recorder import TraceRecorder
 from repro.workloads.barrier import run_barrier_workload
 from repro.workloads.locks import run_lock_workload
-from repro.workloads.warm import WarmCache
 
 MECHS = list(Mechanism)
 IDS = [m.value for m in MECHS]
@@ -98,48 +95,39 @@ def test_restore_replays_trace_identically(mech):
 
 @pytest.mark.parametrize("mech", MECHS, ids=IDS)
 def test_warm_cache_matches_fresh_driver_runs(mech):
-    """Workload drivers give identical results warm and cold."""
-    warm = WarmCache()
+    """Workload drivers give identical results on a pooled machine,
+    warmed up there, and on a fresh build."""
+    pool = MachinePool()
     for run in (
-        lambda wc: run_barrier_workload(32, mech, episodes=2,
-                                        warmup_episodes=1, warm_cache=wc),
-        lambda wc: run_lock_workload(32, mech, acquisitions_per_cpu=1,
-                                     warmup_per_cpu=1, warm_cache=wc),
+        lambda p: run_barrier_workload(32, mech, episodes=2,
+                                       warmup_episodes=1, pool=p),
+        lambda p: run_lock_workload(32, mech, acquisitions_per_cpu=1,
+                                    warmup_per_cpu=1, pool=p),
     ):
-        cold = run(None)
-        first, replay = run(warm), run(warm)
+        fresh = run(None)
+        first, replay = run(pool), run(pool)
         for got in (first, replay):
-            assert got.total_cycles == cold.total_cycles
-            assert got.events_dispatched == cold.events_dispatched
-            assert got.traffic.total_messages == cold.traffic.total_messages
-            assert got.traffic.total_bytes == cold.traffic.total_bytes
-    assert warm.hits == 2 and warm.misses == 2
-    assert len(warm.pool) == 1  # barrier and lock share the pooled machine
+            assert got.total_cycles == fresh.total_cycles
+            assert got.events_dispatched == fresh.events_dispatched
+            assert got.traffic.total_messages == fresh.traffic.total_messages
+            assert got.traffic.total_bytes == fresh.traffic.total_bytes
+    assert len(pool) == 1  # barrier and lock share the pooled machine
 
 
 def test_warm_context_replays_after_other_mechanism_ran():
-    """Restoring a context after a *different* workload used the pooled
-    machine must still replay exactly.
+    """LL/SC, then AMO, then LL/SC again on one pooled machine each
+    equal a fresh build: every rewind drops the directory and spin-meta
+    entries of lines the previous mechanism's run touched, which differ
+    from the next run's lines."""
+    def run(mech, pool):
+        return _summary(run_barrier_workload(
+            8, mech, episodes=2, warmup_episodes=1, pool=pool))
 
-    Regression: the restore path used to assume every line in the
-    checkpoint still had a live directory/meta entry, which holds when a
-    machine only moves forward but not when the pool rewound it and a
-    different mechanism touched a different set of lines in between.
-    """
-    warm = WarmCache()
-    run_a = lambda wc: run_barrier_workload(  # noqa: E731
-        8, Mechanism.LLSC, episodes=2, warmup_episodes=1, warm_cache=wc)
-    run_b = lambda wc: run_barrier_workload(  # noqa: E731
-        8, Mechanism.AMO, episodes=2, warmup_episodes=1, warm_cache=wc)
-    cold = run_a(None)
-    first = run_a(warm)       # miss: build + warm + checkpoint
-    run_b(warm)               # different mechanism reuses pooled machine
-    replay = run_a(warm)      # hit: restore across the other run's state
-    for got in (first, replay):
-        assert got.total_cycles == cold.total_cycles
-        assert got.events_dispatched == cold.events_dispatched
-        assert got.traffic.total_messages == cold.traffic.total_messages
-    assert warm.hits == 1 and warm.misses == 2
+    fresh = {m: run(m, None) for m in (Mechanism.LLSC, Mechanism.AMO)}
+    pool = MachinePool()
+    for mech in (Mechanism.LLSC, Mechanism.AMO, Mechanism.LLSC):
+        assert run(mech, pool) == fresh[mech], mech
+    assert len(pool) == 1
 
 
 def test_sanitizer_clean_on_restored_machine():
@@ -175,9 +163,9 @@ def _rng_states(snap):
     return [state[-1] for state in snap.cpus]
 
 
-def _lock_point(mech, warm_cache):
+def _lock_point(mech, pool):
     return run_lock_workload(16, mech, acquisitions_per_cpu=2,
-                             warmup_per_cpu=1, warm_cache=warm_cache)
+                             warmup_per_cpu=1, pool=pool)
 
 
 def _summary(result):
@@ -197,31 +185,32 @@ def test_pristine_snapshot_holds_no_rng_state():
     "mech", [m for m in MECHS if m is not Mechanism.LLSC],
     ids=[m.value for m in MECHS if m is not Mechanism.LLSC])
 def test_non_llsc_point_snapshot_holds_no_rng_state(mech):
-    warm = WarmCache()
-    run_barrier_workload(16, mech, episodes=2, warmup_episodes=1,
-                         warm_cache=warm)
-    _lock_point(mech, warm)
-    assert len(warm) == 2
-    for ctx in warm._contexts.values():
-        assert _rng_states(ctx.snapshot) == [None] * 16
+    pool = MachinePool()
+    for point in (lambda: run_barrier_workload(16, mech, episodes=2,
+                                               warmup_episodes=1, pool=pool),
+                  lambda: _lock_point(mech, pool)):
+        point()
+        (machine, _), = pool._entries.values()
+        assert _rng_states(machine.snapshot()) == [None] * 16
 
 
 def test_llsc_and_amo_points_share_a_pooled_machine():
     """An LL/SC point after an AMO point, and the AMO point after the
-    LL/SC one, each equal a fresh build: restore drops RNGs the
-    checkpoint never had and re-creates the ones it did."""
+    LL/SC one, each equal a fresh build: the pristine restore drops the
+    RNGs an LL/SC run created."""
     fresh = {m: _summary(_lock_point(m, None))
              for m in (Mechanism.AMO, Mechanism.LLSC)}
-    warm = WarmCache()
-    for mech in (Mechanism.LLSC, Mechanism.AMO,    # misses: pool restores
-                 Mechanism.LLSC, Mechanism.AMO):   # hits: warm restores
-        assert _summary(_lock_point(mech, warm)) == fresh[mech], mech
-    assert len(warm.pool) == 1
-    assert warm.hits == 2 and warm.misses == 2
-    states = {key[2]: _rng_states(ctx.snapshot)
-              for key, ctx in warm._contexts.items()}
-    assert states[Mechanism.AMO] == [None] * 16
-    assert any(st is not None for st in states[Mechanism.LLSC])
+    pool = MachinePool()
+    for mech in (Mechanism.LLSC, Mechanism.AMO,
+                 Mechanism.LLSC, Mechanism.AMO):
+        assert _summary(_lock_point(mech, pool)) == fresh[mech], mech
+        (machine, _), = pool._entries.values()
+        rngs = [p.controller._backoff_rng for p in machine.cpus]
+        if mech is Mechanism.LLSC:
+            assert any(rng is not None for rng in rngs)
+        else:
+            assert rngs == [None] * 16
+    assert len(pool) == 1
 
 
 def _llsc_barrier_machine(n, backend="reference"):
@@ -253,22 +242,6 @@ def test_restore_replays_every_backoff_stream_exactly(backend):
         proc.controller._backoff_rng = None
     machine.restore(snap)
     assert _draw(machine) == first
-
-
-def test_llsc_snapshot_stores_rng_state_compactly():
-    """Each retried CPU's RNG state is 2.5 KB of packed words, not a
-    tuple of 625 boxed ints (~24 KB), so a 256-CPU LL/SC checkpoint
-    stays under 6 KB per CPU."""
-    machine = _llsc_barrier_machine(256)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        snap = machine.snapshot()
-        size = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert sum(st is not None for st in _rng_states(snap)) > 200
-    assert size < 6 * 1024 * 256, size
 
 
 # ----------------------------------------------------------------------

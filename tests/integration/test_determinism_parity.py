@@ -13,12 +13,12 @@ Three layers of protection for the invariant that kernel/protocol
    process produces byte-identical fingerprints *and* identical trace
    spans, so there is no hidden dependence on iteration order of sets,
    object ids, or allocation timing.
-3. **Snapshot-restored parity** — the same fingerprints produced through
-   the warm-start path (machine restored from a
+3. **Snapshot-restored parity** — the same fingerprints produced on a
+   pooled machine (rewound from its pristine
    :class:`repro.core.snapshot.MachineSnapshot` instead of built fresh)
-   must match the goldens byte-for-byte; the second call per
-   configuration replays from the post-warmup snapshot and is the run
-   that actually exercises restore.
+   must match the goldens byte-for-byte.  Each configuration runs twice
+   through one module-wide :class:`~repro.core.snapshot.MachinePool`,
+   so the second run always restores a machine another point used.
 4. **Large-machine parity** (``slow``) — the full golden suite repeated
    at 512 CPUs against ``golden/parity_512.json`` (beyond the paper's
    256), plus a 256-CPU barrier smoke per mechanism.
@@ -34,13 +34,13 @@ import pytest
 from repro.config.mechanism import Mechanism
 from repro.config.parameters import SystemConfig
 from repro.core.machine import Machine
+from repro.core.snapshot import MachinePool
 from repro.harness.parity import (barrier_fingerprint, lock_fingerprint,
                                   qlock_fingerprint)
 from repro.sync.barrier import CentralizedBarrier
 from repro.trace.recorder import TraceRecorder
 from repro.workloads.barrier import run_barrier_workload
 from repro.workloads.qlocks import QLOCK_TYPES, qlock_supported
-from repro.workloads.warm import WarmCache
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "parity_32.json").read_text())
@@ -134,23 +134,22 @@ def test_run_twice_is_identical_including_trace(mech):
 
 
 @pytest.fixture(scope="module")
-def warm_cache():
-    """One warm cache for the whole module: the pooled machine is built
-    once per config and every subsequent run goes through restore."""
-    return WarmCache()
+def pool():
+    """One machine pool for the whole module: the pooled machine is
+    built once per config and every later run goes through restore."""
+    return MachinePool()
 
 
 @pytest.mark.parametrize("mech", MECHS, ids=[m.value for m in MECHS])
-def test_snapshot_restored_barrier_matches_golden(mech, warm_cache):
+def test_snapshot_restored_barrier_matches_golden(mech, pool):
     golden = GOLDEN["fingerprints"][mech.value]["barrier"]
-    # first call misses (build + warm + snapshot), second replays from
-    # the snapshot — both must land exactly on the fresh-built golden
+    # both runs must land exactly on the fresh-built golden
     first = barrier_fingerprint(mech, GOLDEN["n_processors"],
-                                warm_cache=warm_cache)
+                                pool=pool)
     restored = barrier_fingerprint(mech, GOLDEN["n_processors"],
-                                   warm_cache=warm_cache)
+                                   pool=pool)
     assert first == golden, (
-        f"{mech.value} warm-start (miss path) drifted:\n"
+        f"{mech.value} first pooled run drifted:\n"
         + _diff(golden, first))
     assert restored == golden, (
         f"{mech.value} snapshot-restored run drifted from golden:\n"
@@ -158,14 +157,14 @@ def test_snapshot_restored_barrier_matches_golden(mech, warm_cache):
 
 
 @pytest.mark.parametrize("mech", MECHS, ids=[m.value for m in MECHS])
-def test_snapshot_restored_lock_matches_golden(mech, warm_cache):
+def test_snapshot_restored_lock_matches_golden(mech, pool):
     golden = GOLDEN["fingerprints"][mech.value]["lock"]
     first = lock_fingerprint(mech, GOLDEN["n_processors"],
-                             warm_cache=warm_cache)
+                             pool=pool)
     restored = lock_fingerprint(mech, GOLDEN["n_processors"],
-                                warm_cache=warm_cache)
+                                pool=pool)
     assert first == golden, (
-        f"{mech.value} warm-start (miss path) drifted:\n"
+        f"{mech.value} first pooled run drifted:\n"
         + _diff(golden, first))
     assert restored == golden, (
         f"{mech.value} snapshot-restored run drifted from golden:\n"
@@ -175,14 +174,14 @@ def test_snapshot_restored_lock_matches_golden(mech, warm_cache):
 @pytest.mark.parametrize("mech,lock_type",
                          [(Mechanism.AMO, "cna"), (Mechanism.LLSC, "mcs")],
                          ids=["amo-cna", "llsc-mcs"])
-def test_snapshot_restored_qlock_matches_golden(mech, lock_type, warm_cache):
+def test_snapshot_restored_qlock_matches_golden(mech, lock_type, pool):
     golden = GOLDEN["fingerprints"][mech.value][f"qlock_{lock_type}"]
     first = qlock_fingerprint(mech, GOLDEN["n_processors"], lock_type,
-                              warm_cache=warm_cache)
+                              pool=pool)
     restored = qlock_fingerprint(mech, GOLDEN["n_processors"], lock_type,
-                                 warm_cache=warm_cache)
+                                 pool=pool)
     assert first == golden, (
-        f"{mech.value} qlock_{lock_type} warm-start (miss path) drifted:\n"
+        f"{mech.value} qlock_{lock_type} first pooled run drifted:\n"
         + _diff(golden, first))
     assert restored == golden, (
         f"{mech.value} qlock_{lock_type} snapshot-restored run drifted:\n"
@@ -220,14 +219,14 @@ def test_lock_matches_golden_512(mech):
 
 
 @pytest.mark.slow
-def test_snapshot_restored_matches_golden_512(warm_cache):
+def test_snapshot_restored_matches_golden_512(pool):
     """Snapshot-restored parity at 512 CPUs (one mechanism bounds time:
-    the full warm sweep is covered by ``capture_parity --verify --warm``
-    in CI's perf-smoke job)."""
+    the full pooled sweep is covered by ``capture_parity --verify
+    --pooled`` in CI's perf-smoke job)."""
     golden = GOLDEN_512["fingerprints"][Mechanism.AMO.value]["barrier"]
     first = barrier_fingerprint(Mechanism.AMO, GOLDEN_512["n_processors"],
-                                warm_cache=warm_cache)
+                                pool=pool)
     restored = barrier_fingerprint(Mechanism.AMO, GOLDEN_512["n_processors"],
-                                   warm_cache=warm_cache)
+                                   pool=pool)
     assert first == golden, _diff(golden, first)
     assert restored == golden, _diff(golden, restored)

@@ -58,30 +58,3 @@ def test_mao_uses_shared_function_unit(machine4):
 
     run(machine4, thread)
     assert machine4.hubs[0].amu.ops_executed == 4
-
-
-def test_mao_poll_until_costs_remote_round_trips(machine4):
-    var = machine4.alloc("v", home_node=1)
-
-    def poller(proc):
-        value = yield from proc.mao_port.poll_until(
-            proc.controller, var.addr, lambda v: v >= 3,
-            backoff_cycles=100)
-        return value
-
-    def bumper(proc):
-        for _ in range(3):
-            yield from proc.delay(400)
-            yield from proc.mao_rmw(var.addr, "fetchadd", 1)
-
-    def thread(proc):
-        if proc.cpu_id == 0:
-            r = yield from poller(proc)
-        else:
-            r = yield from bumper(proc)
-        return r
-
-    results = run(machine4, thread, cpus=[0, 1])
-    assert results[0] == 3
-    # every poll was an uncached network round trip
-    assert machine4.net.stats.messages[MessageKind.UNCACHED_READ] >= 2

@@ -45,10 +45,3 @@ def test_access_counters():
     bs.read_line(0x100000000)
     assert bs.writes == 1
     assert bs.reads == 2
-
-
-def test_nonzero_words_sorted():
-    bs = BackingStore()
-    bs.write_word(0x100000020, 2)
-    bs.write_word(0x100000000, 1)
-    assert list(bs.nonzero_words()) == [(0x100000000, 1), (0x100000020, 2)]

@@ -5,6 +5,7 @@ import pytest
 from repro.config.mechanism import Mechanism
 from repro.config.parameters import SystemConfig
 from repro.core.machine import Machine
+from repro.core.snapshot import MachinePool
 from repro.obs import MachineMetrics, validate_snapshot
 from repro.obs.registry import Histogram
 from repro.sim.backends.model import model_core
@@ -12,7 +13,6 @@ from repro.sync.barrier import CentralizedBarrier
 from repro.sync.ticket_lock import TicketLock
 from repro.workloads.barrier import run_barrier_workload
 from repro.workloads.locks import run_lock_workload
-from repro.workloads.warm import WarmCache
 
 
 def run_counter_workload(machine):
@@ -182,17 +182,16 @@ METERED_POINTS = {
 def test_pooled_metered_point_equals_a_fresh_one(workload, mechanism):
     point = METERED_POINTS[workload]
     fresh = point(mechanism)
-    cache = WarmCache()
-    pooled = point(mechanism, warm_cache=cache)
-    assert len(cache.pool) == 1            # the machine came from the pool
-    # an unmetered warm point on the same machine, then metered again
+    pool = MachinePool()
+    pooled = point(mechanism, pool=pool)
+    assert len(pool) == 1                  # the machine came from the pool
+    # an unmetered point on the same machine, then metered again
     if workload == "barrier":
-        run_barrier_workload(16, mechanism, episodes=2, warm_cache=cache)
+        run_barrier_workload(16, mechanism, episodes=2, pool=pool)
     else:
-        run_lock_workload(16, mechanism, acquisitions_per_cpu=2,
-                          warm_cache=cache)
-    again = point(mechanism, warm_cache=cache)
-    assert len(cache.pool) == 1
+        run_lock_workload(16, mechanism, acquisitions_per_cpu=2, pool=pool)
+    again = point(mechanism, pool=pool)
+    assert len(pool) == 1
     for res in (pooled, again):
         assert res.metrics == fresh.metrics
         assert (res.total_cycles, res.events_dispatched) == \

@@ -147,3 +147,19 @@ def test_live_code_fingerprint_is_stable_and_content_sensitive(monkeypatch):
     assert a == code_fingerprint()
     monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "pinned")
     assert code_fingerprint() == "pinned"
+
+
+def test_code_fingerprint_covers_the_c_core(tmp_path, monkeypatch):
+    """Editing a C source under the package root changes the
+    fingerprint, so results of the old compiled core stop being served."""
+    from repro.runner import fingerprint
+    (tmp_path / "sim").mkdir()
+    (tmp_path / "__init__.py").write_text("")
+    core = tmp_path / "sim" / "_core.c"
+    core.write_text("int f(void) { return 1; }\n")
+    monkeypatch.delenv("REPRO_CODE_FINGERPRINT", raising=False)
+    monkeypatch.setattr(fingerprint, "package_root", lambda: tmp_path)
+    monkeypatch.setattr(fingerprint, "_cached", None)
+    before = fingerprint.code_fingerprint(refresh=True)
+    core.write_text("int f(void) { return 2; }\n")
+    assert fingerprint.code_fingerprint(refresh=True) != before

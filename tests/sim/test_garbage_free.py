@@ -11,7 +11,7 @@ it (docs/performance.md, "Garbage-free hot path").
 Each check runs 32-CPU flat-barrier and ticket-lock points for every
 mechanism, and 16-CPU queue-lock points for every supported
 (algorithm, mechanism) pair, with the cyclic collector off, keeps the
-machines alive through a :class:`~repro.workloads.warm.WarmCache`, and
+machines alive through a :class:`~repro.core.snapshot.MachinePool`, and
 then asks the collector, under ``gc.DEBUG_SAVEALL``, what it would have
 freed.
 
@@ -32,6 +32,7 @@ from repro.coherence.protocol import AckLatch
 from repro.config.mechanism import Mechanism
 from repro.config.parameters import SystemConfig
 from repro.core.machine import Machine, _EgressWave
+from repro.core.snapshot import MachinePool
 from repro.network.message import Message, MessageKind
 from repro.sim.backends import accel_implementation
 from repro.sim.kernel import SimulationError
@@ -41,7 +42,6 @@ from repro.workloads.barrier import run_barrier_workload
 from repro.workloads.locks import run_lock_workload
 from repro.workloads.qlocks import (QLOCK_TYPES, qlock_supported,
                                     run_qlock_workload)
-from repro.workloads.warm import WarmCache
 
 
 def compiled_core():
@@ -101,17 +101,16 @@ def leaked_per_event_types(garbage) -> list[str]:
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_barrier_and_lock_points_leave_no_cyclic_garbage(backend):
     def run():
-        cache = WarmCache()
+        pool = MachinePool()
         for mech in Mechanism:
             run_barrier_workload(32, mech, episodes=2, warmup_episodes=1,
-                                 warm_cache=cache, backend=backend)
+                                 pool=pool, backend=backend)
             run_lock_workload(32, mech, acquisitions_per_cpu=2,
-                              warmup_per_cpu=1, warm_cache=cache,
-                              backend=backend)
-        return cache   # machine structure stays reachable
+                              warmup_per_cpu=1, pool=pool, backend=backend)
+        return pool    # machine structure stays reachable
 
-    cache, garbage = cyclic_garbage(run)
-    assert len(cache) == 2 * len(Mechanism)
+    pool, garbage = cyclic_garbage(run)
+    assert len(pool) == 1
     leaked = leaked_per_event_types(garbage)
     assert not leaked, (
         f"per-event objects left for the cyclic collector on {backend}: "
@@ -125,15 +124,15 @@ QLOCK_POINTS = [(lock_type, mech) for lock_type in QLOCK_TYPES
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_queue_lock_points_leave_no_cyclic_garbage(backend):
     def run():
-        cache = WarmCache()
+        pool = MachinePool()
         for lock_type, mech in QLOCK_POINTS:
             run_qlock_workload(16, mech, lock_type=lock_type,
                                acquisitions_per_cpu=2, warmup_per_cpu=1,
-                               warm_cache=cache, backend=backend)
-        return cache
+                               pool=pool, backend=backend)
+        return pool
 
-    cache, garbage = cyclic_garbage(run)
-    assert len(cache) == len(QLOCK_POINTS)
+    pool, garbage = cyclic_garbage(run)
+    assert len(pool) == 1
     leaked = leaked_per_event_types(garbage)
     assert not leaked, (
         f"per-event objects left for the cyclic collector on {backend}: "

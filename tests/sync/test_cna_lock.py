@@ -108,21 +108,3 @@ def test_release_without_hold_raises(machine4):
 def test_threshold_validation(machine4):
     with pytest.raises(ValueError):
         CnaLock(machine4, Mechanism.AMO, batch_threshold=0)
-
-
-def test_save_load_state_roundtrip(machine4):
-    # secondary-queue state lives in simulated memory (covered by the
-    # machine snapshot); save_state only needs the inherited MCS fields
-    lock = CnaLock(machine4, Mechanism.ATOMIC, batch_threshold=3)
-
-    def thread(proc):
-        yield from lock.acquire(proc)
-        yield from proc.delay(5)
-        yield from lock.release(proc)
-
-    machine4.run_threads(thread)
-    state = lock.save_state()
-    lock.acquisitions = 0
-    lock.load_state(state)
-    assert lock.acquisitions == 4
-    assert lock._attempt == state["attempt"]

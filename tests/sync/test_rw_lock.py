@@ -126,18 +126,3 @@ def test_release_without_hold_raises(machine4):
 
     with pytest.raises(RuntimeError, match="does not hold"):
         machine4.run_threads(rthread, cpus=[1])
-
-
-def test_save_load_state_roundtrip(machine4):
-    lock = RwTicketLock(machine4, Mechanism.ATOMIC)
-
-    def thread(proc):
-        yield from lock.acquire_read(proc)
-        yield from lock.release_read(proc)
-
-    machine4.run_threads(thread)
-    state = lock.save_state()
-    lock.acquisitions = 0
-    lock.load_state(state)
-    assert lock.acquisitions == 4
-    assert lock.holder() is None

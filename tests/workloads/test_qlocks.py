@@ -66,18 +66,19 @@ def test_deterministic_across_repeats():
 
 
 def test_warm_start_is_fingerprint_identical():
-    from repro.workloads.warm import WarmCache
-    cold = run_qlock_workload(8, Mechanism.AMO, "cna",
-                              acquisitions_per_cpu=2)
-    cache = WarmCache()
+    """Points on a pooled machine equal a fresh build."""
+    from repro.core.snapshot import MachinePool
+    fresh = run_qlock_workload(8, Mechanism.AMO, "cna",
+                               acquisitions_per_cpu=2)
+    pool = MachinePool()
     first = run_qlock_workload(8, Mechanism.AMO, "cna",
-                               acquisitions_per_cpu=2, warm_cache=cache)
-    warm = run_qlock_workload(8, Mechanism.AMO, "cna",
-                              acquisitions_per_cpu=2, warm_cache=cache)
-    assert first.total_cycles == cold.total_cycles
-    assert warm.total_cycles == cold.total_cycles
-    assert warm.traffic.total_bytes == cold.traffic.total_bytes
-    assert warm.acquire_latency == cold.acquire_latency
+                               acquisitions_per_cpu=2, pool=pool)
+    again = run_qlock_workload(8, Mechanism.AMO, "cna",
+                               acquisitions_per_cpu=2, pool=pool)
+    assert first.total_cycles == fresh.total_cycles
+    assert again.total_cycles == fresh.total_cycles
+    assert again.traffic.total_bytes == fresh.traffic.total_bytes
+    assert again.acquire_latency == fresh.acquire_latency
 
 
 def test_metrics_capture():

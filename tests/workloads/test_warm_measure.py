@@ -1,11 +1,16 @@
 """The measured-run bracket every workload driver shares."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config.mechanism import Mechanism
 from repro.config.parameters import SystemConfig
+from repro.core.snapshot import MachinePool
 from repro.sync.barrier import CentralizedBarrier
-from repro.workloads.warm import WarmCache, measure, point_config
+from repro.sync.ticket_lock import TicketLock
+from repro.workloads.warm import measure, point_config
 
 
 class _Boom(RuntimeError):
@@ -35,7 +40,7 @@ def test_point_config_resizes_and_selects_backend():
 
 @pytest.mark.parametrize("where", ["verify", "thread"])
 def test_failed_metered_run_leaves_its_pooled_machine_unobserved(where):
-    cache = WarmCache()
+    pool = MachinePool()
     cfg = point_config(4, None, None)
     machines = []
 
@@ -47,7 +52,7 @@ def test_failed_metered_run_leaves_its_pooled_machine_unobserved(where):
         raise _Boom("verify failed")
 
     with pytest.raises(_Boom):
-        measure(cfg, "key", cache, True, 0, build,
+        measure(cfg, pool, True, 0, build,
                 _barrier_thread(fail_measured=where == "thread"), 1, 2,
                 verify=verify)
     (machine,) = machines
@@ -55,44 +60,16 @@ def test_failed_metered_run_leaves_its_pooled_machine_unobserved(where):
     assert machine.tracer is None
     # a finished run is rewound; one that raised mid-simulation left
     # events pending, so the pool replaces its machine
-    again = cache.pool.acquire(cfg)
+    again = pool.acquire(cfg)
     assert (again is machine) == (where == "verify")
     assert not again.sim.pending_events()
     # and the replacement measures what a fresh build measures
-    fresh = measure(cfg, "key", None, False, 0, build, _barrier_thread(),
-                    1, 2)
-    pooled = measure(cfg, "key", cache, False, 0, build, _barrier_thread(),
-                     1, 2)
+    fresh = measure(cfg, None, False, 0, build, _barrier_thread(), 1, 2)
+    pooled = measure(cfg, pool, False, 0, build, _barrier_thread(), 1, 2)
     assert pooled.machine is again
     assert pooled.total_cycles == fresh.total_cycles
     assert (pooled.machine.sim.events_dispatched
             == fresh.machine.sim.events_dispatched)
-
-
-def test_failed_run_drops_the_warm_contexts_of_its_machine():
-    cache = WarmCache()
-    cfg = point_config(4, None, None)
-
-    def build(machine):
-        return CentralizedBarrier(machine, Mechanism.AMO)
-
-    def run(key, fail=False):
-        return measure(cfg, key, cache, False, 0, build,
-                       _barrier_thread(fail_measured=fail), 1, 2)
-
-    first = run("a")
-    with pytest.raises(_Boom):
-        run("b", fail=True)       # stores context "b", then fails
-    assert len(cache) == 2
-    # both contexts are bound to the stranded machine: the next lookup
-    # drops them, and the run rebuilds on a fresh pooled machine
-    replay = run("a")
-    assert replay.machine is not first.machine
-    assert replay.total_cycles == first.total_cycles
-    assert cache.hits == 0 and cache.misses == 3
-    assert len(cache) == 1
-    assert run("a").total_cycles == first.total_cycles
-    assert cache.hits == 1
 
 
 def test_mark_is_none_only_in_the_warm_up():
@@ -102,7 +79,7 @@ def test_mark_is_none_only_in_the_warm_up():
         marks.append(mark)
         return _barrier_thread()(barrier, count, mark)
 
-    run = measure(point_config(4, None, None), "key", None, True, 0,
+    run = measure(point_config(4, None, None), None, True, 0,
                   lambda m: CentralizedBarrier(m, Mechanism.AMO),
                   make_thread, 1, 2)
     warm_mark, measured_mark = marks
@@ -110,14 +87,39 @@ def test_mark_is_none_only_in_the_warm_up():
     assert run.metrics["critical_path"]["episodes"] == 2
 
 
-def test_metered_runs_store_no_warm_context():
-    cache = WarmCache()
-    cfg = point_config(4, None, None)
+def _lock_thread(lock, count, mark):
+    def thread(proc):
+        for _ in range(count):
+            yield from lock.acquire(proc)
+            yield from lock.release(proc)
+    return thread
+
+
+@pytest.mark.parametrize("mechanism", [Mechanism.AMO, Mechanism.LLSC],
+                         ids=lambda m: m.value)
+@pytest.mark.parametrize("sync", ["barrier", "lock"])
+def test_nothing_outlives_a_pooled_point(sync, mechanism):
+    """Once a plain pooled point returns, its sync object is gone: the
+    pool keeps only the machine and its pristine checkpoint."""
+    pool = MachinePool()
+    cfg = point_config(8, None, None)
+    refs = []
 
     def build(machine):
-        return CentralizedBarrier(machine, Mechanism.AMO)
+        obj = (CentralizedBarrier if sync == "barrier"
+               else TicketLock)(machine, mechanism)
+        refs.append(weakref.ref(obj))
+        return obj
 
-    measure(cfg, "key", cache, True, 0, build, _barrier_thread(), 1, 2)
-    assert len(cache) == 0 and cache.misses == 0
-    measure(cfg, "key", cache, False, 0, build, _barrier_thread(), 1, 2)
-    assert len(cache) == 1 and cache.misses == 1
+    make_thread = _barrier_thread() if sync == "barrier" else _lock_thread
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(2):
+            measure(cfg, pool, False, 0, build, make_thread, 1, 2)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(refs) == 2
+    assert [ref() for ref in refs] == [None, None]
+    assert len(pool) == 1

@@ -14,17 +14,17 @@ the cycle and message fingerprints alone (batched delivery may shrink
 
 ``--verify`` re-runs every fingerprint and compares against the golden
 file instead of overwriting it, exiting non-zero on drift.  Combined
-with ``--warm`` the runs go through the snapshot/warm-start path, which
-makes the check prove that snapshot-restored machines replay
-cycle-for-cycle identically to the fresh-built goldens::
+with ``--pooled`` every fingerprint takes its machine from one
+:class:`~repro.core.snapshot.MachinePool`, so all but the first run of
+each machine size are rewound from the pristine checkpoint; the check
+proves that restored machines replay cycle-for-cycle identically to the
+fresh-built goldens::
 
-    PYTHONPATH=src python tools/capture_parity.py --verify --warm
+    PYTHONPATH=src python tools/capture_parity.py --verify --pooled
 
 ``--metrics`` attaches the observability layer to every run.  With
-``--warm`` too, the metered runs draw their machines from the warm
-cache's pool (metered runs simulate their own warm-up), which proves a
-pooled machine carries no state or observer from one run into the
-next.
+``--pooled`` too, it proves a pooled machine carries no state or
+observer from one run into the next.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ def main(argv=None) -> int:
     parser.add_argument("--verify", action="store_true",
                         help="compare a fresh capture against the golden "
                              "file instead of overwriting it")
-    parser.add_argument("--warm", action="store_true",
-                        help="run through the snapshot warm-start path "
+    parser.add_argument("--pooled", action="store_true",
+                        help="take every machine from one machine pool "
                              "(proves restored == fresh when verifying)")
     parser.add_argument("--metrics", action="store_true",
                         help="attach the observability layer to every "
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
                         help="event-kernel backend (repro.sim.backends) "
                              "to run on; with --verify, proves the "
                              "backend reproduces the reference goldens "
-                             "byte-identically (composes with --warm "
+                             "byte-identically (composes with --pooled "
                              "and --metrics)")
     args = parser.parse_args(argv)
 
@@ -85,17 +85,17 @@ def main(argv=None) -> int:
         from repro.sim.backends import resolve_backend_name
         resolve_backend_name(args.backend)  # fail loudly on a typo
 
-    warm_cache = None
-    if args.warm:
-        from repro.workloads.warm import WarmCache
-        warm_cache = WarmCache()
+    pool = None
+    if args.pooled:
+        from repro.core.snapshot import MachinePool
+        pool = MachinePool()
 
     mechanisms = None
     if args.mechanisms:
         mechanisms = [Mechanism(v) for v in args.mechanisms]
 
     doc = capture_all(n_processors=args.cpus, mechanisms=mechanisms,
-                      warm_cache=warm_cache,
+                      pool=pool,
                       barrier_only=args.barrier_only,
                       metrics=args.metrics, backend=args.backend)
 
@@ -107,7 +107,7 @@ def main(argv=None) -> int:
                 m.value: golden["fingerprints"][m.value]
                 for m in mechanisms}
         drift = diff_documents(golden, doc)
-        label = "warm-start" if args.warm else "fresh"
+        label = "pooled" if args.pooled else "fresh"
         if args.metrics:
             label = f"metered {label}"
         if args.backend is not None:
