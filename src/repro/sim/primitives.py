@@ -5,15 +5,17 @@ kernel resumes it when the primitive completes.  Zero-delay resumptions
 are appended straight onto the kernel's same-cycle dispatch ring
 (``sim._ring``) — equivalent to ``sim.schedule(0, sim._resume, ...)``
 but without the call and argument-packing overhead, which matters on the
-wake-up storms these primitives implement.  The value the process's
-``yield`` expression evaluates to is primitive-specific (documented per
-class).
+wake-up storms these primitives implement.  ``sim._resume`` is one
+stable object that marks the event as a resume; the kernel's run loop
+steps the process itself.  The value the process's ``yield`` expression
+evaluates to is primitive-specific (documented per class).
 
 Both trampolines arm some exact types inline with copies of the
-``_arm`` bodies below: ``Simulator._resume`` does ``Timeout`` and
-``Acquire``, the compiled one every primitive here plus ``JoinCmd``.  A
-change to one of those bodies must be made there too.  Subclasses
-always go through their own ``_arm``.
+``_arm`` bodies below: the reference one, inside ``Simulator.run``,
+does ``Timeout`` (its positive delay with the body of
+``Simulator._push_future``) and ``Acquire``; the compiled one every
+primitive here plus ``JoinCmd``.  A change to one of those bodies must
+be made there too.  Subclasses always go through their own ``_arm``.
 
 ===========  =========================================================
 primitive    resumes when / with

@@ -850,6 +850,92 @@ def test_trampoline_yield_signal_directly(backend):
     assert sim.run_process(waiter()) == (3, "x")
 
 
+# ---------------------------------------------------------------------------
+# the run loop drives resumes inline
+# ---------------------------------------------------------------------------
+# Both run loops recognize a resume event by the identity of its
+# callable, ``sim._resume``, and step the process in place instead of
+# calling it.  A resume must still count, fail and carry its value
+# exactly as a dispatched callback would.
+
+def test_resume_marker_is_one_stable_object(backend):
+    sim = make_sim(backend)
+    assert sim._resume is sim._resume
+
+    def idle():
+        yield Timeout(1)
+
+    proc = sim.spawn(idle())
+    assert proc._rn[0] is sim._resume
+    sim.run()
+
+
+def _ticking_process(sim, n):
+    def ticker():
+        for _ in range(n):
+            yield Timeout(0)
+    return sim.spawn(ticker(), "ticker")
+
+
+def test_max_events_counts_process_resumes(backend):
+    sim = make_sim(backend)
+    _ticking_process(sim, 10)          # 11 resumes: start + 10 ticks
+    sim.schedule(0, lambda: None)
+    sim.run(max_events=12)
+    assert sim.events_dispatched == 12
+
+    sim = make_sim(backend)
+    proc = _ticking_process(sim, 10)
+    sim.schedule(0, lambda: None)
+    with pytest.raises(SimulationError, match="max_events=7"):
+        sim.run(max_events=7)
+    assert sim.events_dispatched == 7
+    assert not proc.done
+
+
+def test_failing_process_counts_and_time(backend):
+    """A resume whose process raises is not counted, like a callback
+    that raises; the process is done, failed, and drops its resume
+    event."""
+    sim = make_sim(backend)
+    sim.schedule(3, lambda: None)
+
+    def boom():
+        yield Timeout(5)
+        raise ValueError("kaboom")
+
+    proc = sim.spawn(boom(), "boom")
+    with pytest.raises(ValueError, match="kaboom"):
+        sim.run()
+    assert (sim.now, sim.events_dispatched) == (5, 2)
+    assert proc.done and isinstance(proc.error, ValueError)
+    assert proc._rn is None
+    assert proc not in sim.active_processes
+
+
+def test_scheduled_resume_delivers_its_value(backend):
+    """A resume queued by hand through ``schedule`` takes the inline
+    path too and resumes the process with the scheduled value."""
+    sim = make_sim(backend)
+    got = []
+
+    def parked():
+        got.append((yield Signal("never")))   # nothing fires it
+        got.append((yield Signal("never")))
+        return sim.now
+
+    proc = sim.spawn(parked(), "parked")
+    sim.run()
+    sim.schedule(0, sim._resume, proc, "v")
+    sim.run()
+    assert got == ["v"] and not proc.done
+    sim.schedule(4, sim._resume, proc, 7)
+    sim.run()
+    assert got == ["v", 7]
+    assert proc.done and proc.result == 4
+    assert sim.events_dispatched == 3
+
+
 def test_workload_results_identical_across_backends(backend):
     """End-to-end: one barrier workload cell produces byte-identical
     cycles and event counts on every backend."""
