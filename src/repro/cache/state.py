@@ -30,3 +30,10 @@ class LineState(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# The members as module constants for the hot path: a ``LineState.X``
+# load never specializes (see repro.network.message).
+LINE_INVALID = LineState.INVALID
+LINE_SHARED = LineState.SHARED
+LINE_EXCLUSIVE = LineState.EXCLUSIVE

@@ -44,6 +44,13 @@ class DirState(enum.Enum):
     EXCLUSIVE = "exclusive"  # one writable copy; memory possibly stale
 
 
+# The members as module constants for the hot path: a ``DirState.X``
+# load never specializes (see repro.network.message).
+DIR_UNOWNED = DirState.UNOWNED
+DIR_SHARED = DirState.SHARED
+DIR_EXCLUSIVE = DirState.EXCLUSIVE
+
+
 def sharer_mask_of(cpus: Iterable[int]) -> int:
     """Fold CPU ids into a presence bitmask."""
     mask = 0

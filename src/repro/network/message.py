@@ -115,6 +115,36 @@ for _kind in MessageKind:
         else WORD_BYTES if _kind.carries_word else 0)
 del _kind
 
+# Every member as a module constant.  On CPython 3.11 a load such as
+# ``MessageKind.GET_S`` goes through the enum metaclass and never
+# specializes; a module global does, so the hot model modules import
+# these (tests/sim/test_hot_path_style.py).
+GET_S = MessageKind.GET_S
+GET_X = MessageKind.GET_X
+DATA_S = MessageKind.DATA_S
+DATA_X = MessageKind.DATA_X
+INVALIDATE = MessageKind.INVALIDATE
+INV_ACK = MessageKind.INV_ACK
+INTERVENTION = MessageKind.INTERVENTION
+INTERVENTION_REPLY = MessageKind.INTERVENTION_REPLY
+SHARING_WRITEBACK = MessageKind.SHARING_WRITEBACK
+WRITEBACK = MessageKind.WRITEBACK
+WRITEBACK_ACK = MessageKind.WRITEBACK_ACK
+UNCACHED_READ = MessageKind.UNCACHED_READ
+UNCACHED_READ_REPLY = MessageKind.UNCACHED_READ_REPLY
+UNCACHED_WRITE = MessageKind.UNCACHED_WRITE
+UNCACHED_WRITE_ACK = MessageKind.UNCACHED_WRITE_ACK
+FG_GET = MessageKind.FG_GET
+FG_GET_REPLY = MessageKind.FG_GET_REPLY
+FG_PUT = MessageKind.FG_PUT
+WORD_UPDATE = MessageKind.WORD_UPDATE
+AMO_REQUEST = MessageKind.AMO_REQUEST
+AMO_REPLY = MessageKind.AMO_REPLY
+MAO_REQUEST = MessageKind.MAO_REQUEST
+MAO_REPLY = MessageKind.MAO_REPLY
+AM_REQUEST = MessageKind.AM_REQUEST
+AM_REPLY = MessageKind.AM_REPLY
+
 _msg_ids = itertools.count()
 
 
